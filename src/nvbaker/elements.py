@@ -24,7 +24,8 @@ from .geometry import (
     Brick,
     Cell,
     Partition,
-    brick_intersect,
+    brick_intersect,  # noqa: F401 (kept importable as nvbaker.elements.brick_intersect)
+    brick_meets,
     partition_validate,
     unit_brick,
 )
@@ -134,14 +135,11 @@ def then(f: Element, g: Element) -> Element:
             f"cannot compose elements of dimensions {f.dimension} and {g.dimension}"
         )
     pairs = []
-    for pf in f.pairs:
-        for pg in g.pairs:
-            meet = brick_intersect(pf.range, pg.domain)
-            if meet is None:
-                continue
-            dom = map_through(meet, pf.range, pf.domain)
-            rng = map_through(meet, pg.domain, pg.range)
-            pairs.append(Pair(dom, rng))
+    for i, j, meet in brick_meets([p.range for p in f.pairs], [p.domain for p in g.pairs]):
+        pf, pg = f.pairs[i], g.pairs[j]
+        dom = map_through(meet, pf.range, pf.domain)
+        rng = map_through(meet, pg.domain, pg.range)
+        pairs.append(Pair(dom, rng))
     return Element(f.dimension, tuple(pairs))
 
 
@@ -168,17 +166,20 @@ def apply_point(f: Element, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def _refined_images(f: Element, g: Element) -> Iterable[tuple[Brick, Brick, Brick]]:
-    """Common domain refinement with both images: (piece, f-image, g-image)."""
-    for pf in f.pairs:
-        for pg in g.pairs:
-            meet = brick_intersect(pf.domain, pg.domain)
-            if meet is None:
-                continue
-            yield (
-                meet,
-                map_through(meet, pf.domain, pf.range),
-                map_through(meet, pg.domain, pg.range),
-            )
+    """Common domain refinement with both images: (piece, f-image, g-image).
+
+    Pieces come in (f-pair, g-pair) order, which fixes the witness that
+    `equals_witness` reports.
+    """
+    meets = brick_meets([p.domain for p in f.pairs], [p.domain for p in g.pairs])
+    meets.sort(key=lambda m: (m[0], m[1]))
+    for i, j, meet in meets:
+        pf, pg = f.pairs[i], g.pairs[j]
+        yield (
+            meet,
+            map_through(meet, pf.domain, pf.range),
+            map_through(meet, pg.domain, pg.range),
+        )
 
 
 def equals(f: Element, g: Element) -> bool:

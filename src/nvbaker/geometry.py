@@ -6,7 +6,9 @@ axis. Two dyadic cells are always nested or disjoint, which is what makes
 partition refinement and the rest of the library purely combinatorial.
 
 Fractions appear only at the boundary (reporting endpoints, measures, point
-membership); every decision procedure runs on integers.
+membership); every decision procedure runs on integers, and so do the sort
+keys: a cell sorts by its left endpoint scaled by 2^MAX_EXPONENT, an exact
+integer, then by its exponent.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ class Cell:
     def contains_value(self, x: Fraction) -> bool:
         return self.lo <= x < self.hi
 
-    def sort_key(self) -> tuple[Fraction, int]:
-        return (self.lo, self.exponent)
+    def sort_key(self) -> tuple[int, int]:
+        """Orders cells exactly as (lo, exponent) does, without a Fraction."""
+        return (self.numerator << (MAX_EXPONENT - self.exponent), self.exponent)
 
     def __str__(self) -> str:
         return f"{self.numerator}/2^{self.exponent}"
@@ -181,8 +184,11 @@ class Brick:
             for oc, sc in zip(other.cells, self.cells)
         )
 
-    def sort_key(self) -> tuple:
-        return tuple(itertools.chain.from_iterable(c.sort_key() for c in self.cells))
+    def sort_key(self) -> tuple[int, ...]:
+        key: tuple[int, ...] = ()
+        for c in self.cells:
+            key += c.sort_key()
+        return key
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.cells)
@@ -219,6 +225,112 @@ def brick_intersect(a: Brick, b: Brick) -> Brick | None:
 
 def bricks_disjoint(a: Brick, b: Brick) -> bool:
     return brick_intersect(a, b) is None
+
+
+def brick_meets(
+    xs: Sequence[Brick], ys: Sequence[Brick]
+) -> list[tuple[int, int, Brick]]:
+    """Every nonempty meet xs[i] & ys[j], as (i, j, meet), each pair once.
+
+    The lists may be any bricks of one dimension: partitions of any shape,
+    or lists that overlap themselves or repeat a brick. The order of the
+    result is unspecified. The cost follows the number of meets found, not
+    len(xs) * len(ys).
+
+    The method is a two-sided k-d descent (Bentley 1975) from the unit cube
+    that relies on one invariant: on each axis two dyadic cells are nested
+    or disjoint. A region keeps the bricks of each list that meet it. When
+    the region is halved along an axis, a brick finer than the region on
+    that axis lies in exactly one half (its next bit says which), and a
+    brick no finer lies across both. When no live brick is finer than the
+    region on any axis, every live brick contains the region, so every
+    live pair meets there. Such leaf regions are disjoint and a meet may
+    span several of them, so a pair is reported only at the leaf holding
+    the lowest corner of its meet. Each candidate is confirmed, and its
+    meet built, by `brick_intersect`.
+    """
+    if not xs or not ys:
+        return []
+    dim = xs[0].dimension
+    bricks = [*xs, *ys]
+    for b in bricks:
+        if b.dimension != dim:
+            raise DimensionMismatchError(f"bricks of dimensions {dim} and {b.dimension}")
+    # Bricks are numbered xs first, then ys; exps[a][k] and nums[a][k] are
+    # the cell of brick k on axis a.
+    nx = len(xs)
+    exps = [[b.cells[a].exponent for b in bricks] for a in range(dim)]
+    nums = [[b.cells[a].numerator for b in bricks] for a in range(dim)]
+    out: list[tuple[int, int, Brick]] = []
+    # A region is its cell exponents and numerators by axis, with the live
+    # bricks of each list.
+    root = (0,) * dim
+    stack = [(root, root, list(range(nx)), list(range(nx, len(bricks))))]
+    while stack:
+        r_exps, r_nums, live_x, live_y = stack.pop()
+        axis = _split_axis(exps, r_exps, itertools.chain(live_x, live_y))
+        if axis is None:
+            # On each axis the meet's lowest corner is the region's exactly
+            # when the meet's cell there (the finer of the two) is at least
+            # as fine as the coarsest cell sharing the region's left end,
+            # whose exponent drops the trailing zero bits of the numerator.
+            corner = [
+                e - (n & -n).bit_length() + 1 if n else 0 for e, n in zip(r_exps, r_nums)
+            ]
+            for i in live_x:
+                for j in live_y:
+                    if all(max(ea[i], ea[j]) >= c for ea, c in zip(exps, corner)):
+                        out.append((i, j - nx, brick_intersect(bricks[i], bricks[j])))
+            continue
+        e = r_exps[axis]
+        lo_x, hi_x = _halve(live_x, exps[axis], nums[axis], e)
+        lo_y, hi_y = _halve(live_y, exps[axis], nums[axis], e)
+        child_exps = r_exps[:axis] + (e + 1,) + r_exps[axis + 1 :]
+        n = r_nums[axis] << 1
+        for bit, half_x, half_y in ((1, hi_x, hi_y), (0, lo_x, lo_y)):
+            if half_x and half_y:
+                child_nums = r_nums[:axis] + (n | bit,) + r_nums[axis + 1 :]
+                stack.append((child_exps, child_nums, half_x, half_y))
+    return out
+
+
+def _split_axis(
+    exps: list[list[int]], r_exps: tuple[int, ...], live: Iterable[int]
+) -> int | None:
+    """An axis on which some live brick is finer than the region, if any."""
+    for k in live:
+        for a, e in enumerate(r_exps):
+            if exps[a][k] > e:
+                return a
+    return None
+
+
+def _halve(
+    live: list[int], exps: list[int], nums: list[int], e: int
+) -> tuple[list[int], list[int]]:
+    """Send live bricks to the halves of a region cell of exponent e they meet.
+
+    `exps` and `nums` are the bricks' cells on the axis being halved.
+    """
+    lo: list[int] = []
+    hi: list[int] = []
+    for k in live:
+        finer = exps[k] - e
+        if finer <= 0:
+            lo.append(k)
+            hi.append(k)
+        elif (nums[k] >> (finer - 1)) & 1:
+            hi.append(k)
+        else:
+            lo.append(k)
+    return lo, hi
+
+
+def _overlaps(bricks: Sequence[Brick]) -> list[tuple[int, int]]:
+    """Index pairs i < j of overlapping bricks, in ascending order."""
+    if len(bricks) < 2:
+        return []
+    return sorted((i, j) for i, j, _ in brick_meets(bricks, bricks) if i < j)
 
 
 @dataclass(frozen=True)
@@ -274,12 +386,15 @@ def partition_validate(bricks: Iterable[Brick]) -> ValidationReport:
         if b.dimension != dim:
             problems.append(f"mixed dimensions: {dim} and {b.dimension}")
             return ValidationReport(False, tuple(problems))
-    for i, j in itertools.combinations(range(len(items)), 2):
-        if not bricks_disjoint(items[i], items[j]):
-            problems.append(f"bricks overlap: {items[i]} and {items[j]}")
-    total = sum((b.measure for b in items), Fraction(0))
-    if total != 1:
-        problems.append(f"total measure is {total}, expected 1")
+    for i, j in _overlaps(items):
+        problems.append(f"bricks overlap: {items[i]} and {items[j]}")
+    # A brick's measure is 2^-depth, its depth the sum of its exponents, so
+    # the total is an exact integer count of cells at the deepest depth.
+    depths = [sum(c.exponent for c in b.cells) for b in items]
+    deepest = max(depths)
+    total = sum(1 << (deepest - d) for d in depths)
+    if total != 1 << deepest:
+        problems.append(f"total measure is {Fraction(total, 1 << deepest)}, expected 1")
     return ValidationReport(not problems, tuple(problems))
 
 
@@ -299,13 +414,7 @@ def common_refinement(p: Partition, q: Partition) -> Partition:
         raise DimensionMismatchError(
             f"partitions of dimensions {p.dimension} and {q.dimension}"
         )
-    pieces = []
-    for a in p:
-        for b in q:
-            meet = brick_intersect(a, b)
-            if meet is not None:
-                pieces.append(meet)
-    return Partition(tuple(pieces))
+    return Partition(tuple(meet for _, _, meet in brick_meets(p.bricks, q.bricks)))
 
 
 def peel_to_unit(brick: Brick) -> list[Brick]:
@@ -341,14 +450,17 @@ def tile_complement(dimension: int, holes: Sequence[Brick]) -> list[Brick]:
             raise DimensionMismatchError(
                 f"hole of dimension {b.dimension} in a {dimension}-cube"
             )
-    for i, j in itertools.combinations(range(len(holes)), 2):
-        if not bricks_disjoint(holes[i], holes[j]):
-            raise GeometryError(f"holes overlap: {holes[i]} and {holes[j]}")
+    overlaps = _overlaps(holes)
+    if overlaps:
+        i, j = overlaps[0]
+        raise GeometryError(f"holes overlap: {holes[i]} and {holes[j]}")
 
     out: list[Brick] = []
 
-    def descend(region: Brick) -> None:
-        live = [h for h in holes if brick_intersect(region, h) is not None]
+    def descend(region: Brick, parent_live: Sequence[Brick]) -> None:
+        # A hole meeting the region meets its parent, so only the parent's
+        # live holes need testing.
+        live = [h for h in parent_live if brick_intersect(region, h) is not None]
         if not live:
             out.append(region)
             return
@@ -358,12 +470,12 @@ def tile_complement(dimension: int, holes: Sequence[Brick]) -> list[Brick]:
             rc = region.cells[axis]
             if any(h.cells[axis].exponent > rc.exponent for h in live):
                 lo, hi = region.split(axis)
-                descend(lo)
-                descend(hi)
+                descend(lo, live)
+                descend(hi, live)
                 return
         # A live hole that is no finer than the region on any axis contains
         # it (intersecting cells nest), so one of the branches above ran.
         raise AssertionError(f"unreachable: no split axis for {region}")
 
-    descend(unit_brick(dimension))
+    descend(unit_brick(dimension), holes)
     return out

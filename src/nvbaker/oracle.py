@@ -15,12 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ResolutionError
 from .elements import Element, Pair
 from .geometry import Brick, Cell, unit_brick
+
+# numpy is imported inside the grid functions, so importing the library (and
+# the CLI) does not pay for it.
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,8 @@ def _grid_images(f: Element, m: int, scale: int) -> np.ndarray:
     point index / 2^m. Grid points inside a domain brick form an index box,
     so each pair is one sliced affine assignment.
     """
+    import numpy as np
+
     n = f.dimension
     side = 1 << m
     idx = np.indices((side,) * n, dtype=np.int64)
@@ -92,6 +98,8 @@ def grid_equals(f: Element, g: Element, grid: GridSpec) -> bool:
     the affine map on it. At m equal to the finest cell the check can only
     certify disagreement.
     """
+    import numpy as np
+
     fi, gi = _prepare(f, g, grid)
     return bool(np.array_equal(fi, gi))
 
@@ -100,6 +108,8 @@ def grid_witness(
     f: Element, g: Element, grid: GridSpec
 ) -> tuple[Fraction, ...] | None:
     """None when the grids agree, else the first grid point that differs."""
+    import numpy as np
+
     fi, gi = _prepare(f, g, grid)
     diff = np.argwhere((fi != gi).any(axis=0))
     if diff.size == 0:

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +359,15 @@ class TestUsageErrors:
 
     def test_missing_output_flag(self, run, baker_file):
         assert run("inverse", baker_file)[0] == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    import nvbaker
+
+    src = str(Path(nvbaker.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run(
+        [sys.executable, "-c", "import nvbaker.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env,
+        check=True,
+    )

@@ -85,6 +85,17 @@ class TestCell:
         assert c.contains_value(Fraction(1, 4))
         assert not c.contains_value(Fraction(1, 2))
 
+    def test_sort_key_orders_by_left_end_then_exponent(self):
+        cells = all_cells(6)
+        for e in (63, 64):
+            top = 1 << e
+            for k in (0, 1, 2, top // 2 - 1, top // 2, top // 2 + 1, top - 2, top - 1):
+                cells.append(Cell(e, k))
+        expected = sorted(cells, key=lambda c: (Fraction(c.numerator, 1 << c.exponent), c.exponent))
+        assert sorted(cells, key=Cell.sort_key) == expected
+        assert sorted(reversed(cells), key=Cell.sort_key) == expected
+        assert all(isinstance(v, int) for c in cells for v in c.sort_key())
+
 
 class TestCellRelation:
     def test_frozen_cases(self):
@@ -228,6 +239,21 @@ class TestPartitionValidate:
         report = partition_validate([brick("0/2^1,0/2^0")])
         assert not report
         assert any("measure" in p and "1/2" in p for p in report.problems)
+
+    def test_problems_text_and_order(self):
+        items = [
+            brick("1/2^1,0/2^0"),
+            brick("0/2^0,0/2^0"),
+            brick("1/2^2,1/2^1"),
+            brick("1/2^1,0/2^0"),
+        ]
+        assert partition_validate(items).problems == (
+            "bricks overlap: 1/2^1,0/2^0 and 0/2^0,0/2^0",
+            "bricks overlap: 1/2^1,0/2^0 and 1/2^1,0/2^0",
+            "bricks overlap: 0/2^0,0/2^0 and 1/2^2,1/2^1",
+            "bricks overlap: 0/2^0,0/2^0 and 1/2^1,0/2^0",
+            "total measure is 17/8, expected 1",
+        )
 
     def test_empty(self):
         assert not partition_validate([])

@@ -1,0 +1,158 @@
+"""Property tests of the meet engine against brute-force all-pairs references."""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nvbaker import (
+    Brick,
+    Cell,
+    RandomElementSpec,
+    brick_intersect,
+    brick_meets,
+    partition_validate,
+    random_element,
+)
+
+from conftest import brick
+
+MAX_DEPTH = 5
+
+
+def all_pairs_meets(xs, ys):
+    """Every nonempty meet by testing every brick against every brick."""
+    out = []
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            meet = brick_intersect(x, y)
+            if meet is not None:
+                out.append((i, j, meet))
+    return out
+
+
+def all_pairs_problems(items):
+    """partition_validate's problems, built pair by pair with Fractions."""
+    problems = []
+    for i, j in itertools.combinations(range(len(items)), 2):
+        if brick_intersect(items[i], items[j]) is not None:
+            problems.append(f"bricks overlap: {items[i]} and {items[j]}")
+    total = Fraction(0)
+    for b in items:
+        total += b.measure
+    if total != 1:
+        problems.append(f"total measure is {total}, expected 1")
+    return tuple(problems)
+
+
+def assert_same_meets(xs, ys):
+    got = brick_meets(xs, ys)
+    keys = [(i, j) for i, j, _ in got]
+    assert len(keys) == len(set(keys)), "a pair was reported twice"
+    assert sorted(got, key=lambda m: m[:2]) == all_pairs_meets(xs, ys)
+
+
+@st.composite
+def cells(draw):
+    e = draw(st.integers(0, MAX_DEPTH))
+    return Cell(e, draw(st.integers(0, (1 << e) - 1)))
+
+
+@st.composite
+def brick_lists(draw, dim):
+    """Arbitrary bricks: they may overlap, nest, or repeat."""
+    one_brick = st.lists(cells(), min_size=dim, max_size=dim).map(lambda cs: Brick(tuple(cs)))
+    bricks = draw(st.lists(one_brick, max_size=10))
+    if bricks:
+        repeats = draw(st.lists(st.sampled_from(bricks), max_size=3))
+        bricks += repeats
+        bricks = draw(st.permutations(bricks))
+    return list(bricks)
+
+
+@st.composite
+def element_partitions(draw, dim):
+    """The domain and range bricks of a random element: two partitions."""
+    spec = RandomElementSpec(dim, draw(st.integers(0, 4)), draw(st.integers(0, 2**32)))
+    e = random_element(spec)
+    return [p.domain for p in e.pairs], [p.range for p in e.pairs]
+
+
+def pinwheel():
+    """Quadrants cut into strips that turn around the centre.
+
+    No line through the whole square separates these strips except the two
+    midlines; any partition of the square into dyadic bricks can be cut
+    that way, since a brick crossing one midline of a region spans the
+    region on that axis and would meet any brick crossing the other.
+    """
+    return [
+        brick("0/2^2,0/2^1"),
+        brick("1/2^2,0/2^1"),
+        brick("1/2^1,0/2^2"),
+        brick("1/2^1,1/2^2"),
+        brick("2/2^2,1/2^1"),
+        brick("3/2^2,1/2^1"),
+        brick("0/2^1,2/2^2"),
+        brick("0/2^1,3/2^2"),
+    ]
+
+
+dims = st.integers(1, 4)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_partitions_of_random_elements(data):
+    dim = data.draw(dims)
+    f_domain, f_range = data.draw(element_partitions(dim))
+    g_domain, _ = data.draw(element_partitions(dim))
+    assert_same_meets(f_range, g_domain)
+    assert_same_meets(f_domain, f_range)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_arbitrary_brick_lists(data):
+    dim = data.draw(dims)
+    assert_same_meets(data.draw(brick_lists(dim)), data.draw(brick_lists(dim)))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_pinwheel_against_random_partitions(data):
+    _, other = data.draw(element_partitions(2))
+    assert partition_validate(pinwheel())
+    assert_same_meets(pinwheel(), other)
+    assert_same_meets(other, pinwheel())
+    assert_same_meets(pinwheel(), pinwheel())
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_validate_matches_all_pairs(data):
+    dim = data.draw(dims)
+    domains = element_partitions(dim).map(lambda p: p[0])
+    items = data.draw(st.one_of(brick_lists(dim), domains))
+    if items:
+        assert partition_validate(items).problems == all_pairs_problems(items)
+
+
+def test_pair_coarse_on_split_axis_in_both_lists_reported_once():
+    # The descent halves along axis 0 for the thin first brick; the second
+    # brick of each list spans axis 0, so both lie across both halves and
+    # their meet spans them too.
+    xs = [brick("0/2^2,1/2^1"), brick("0/2^0,0/2^1")]
+    ys = [brick("0/2^0,0/2^0"), brick("0/2^0,0/2^1")]
+    got = sorted(brick_meets(xs, ys), key=lambda m: m[:2])
+    assert got == [
+        (0, 0, xs[0]),
+        (1, 0, xs[1]),
+        (1, 1, brick("0/2^0,0/2^1")),
+    ]
+
+
+def test_empty_lists_have_no_meets():
+    assert brick_meets([], [brick("0/2^0,0/2^0")]) == []
+    assert brick_meets([brick("0/2^0,0/2^0")], []) == []
