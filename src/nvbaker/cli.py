@@ -184,10 +184,15 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
-    texts = []
-    for index in range(args.count):
-        spec = RandomElementSpec(args.dim, args.depth, args.seed + index)
-        texts.append(serialize_element(random_element(spec)))
+    if args.count < 1:
+        raise NvError(f"--count must be >= 1, got {args.count}")
+    try:
+        specs = [
+            RandomElementSpec(args.dim, args.depth, args.seed + i) for i in range(args.count)
+        ]
+    except ValueError as exc:
+        raise NvError(str(exc)) from exc
+    texts = [serialize_element(random_element(spec)) for spec in specs]
     if args.count == 1 and not os.path.isdir(args.output):
         _write_atomic(args.output, texts[0])
         return 0

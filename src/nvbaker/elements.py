@@ -15,6 +15,7 @@ source cell [k0/2^e0, ...) lands in the destination cell [k1/2^e1, ...) at
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -63,8 +64,11 @@ def map_cell_through(sub: Cell, src: Cell, dst: Cell) -> Cell:
 
 def map_through(sub: Brick, src: Brick, dst: Brick) -> Brick:
     """Image of a sub-brick of src under the affine map sending src onto dst."""
-    if not src.contains_brick(sub):
-        raise ElementError(f"brick {sub} is not inside {src}")
+    if not len(sub.cells) == len(src.cells) == len(dst.cells):
+        raise DimensionMismatchError(
+            f"cannot map a {sub.dimension}-brick from a {src.dimension}-brick "
+            f"onto a {dst.dimension}-brick"
+        )
     return Brick(
         tuple(
             map_cell_through(c, cs, cd)
@@ -213,81 +217,59 @@ def equals_witness(f: Element, g: Element) -> tuple[Fraction, ...] | None:
 def support(f: Element) -> tuple[Brick, ...]:
     """Maximal bricks covering the moved set, in sorted order.
 
-    Starts from the domain bricks of non-identity pairs and greedily merges
-    sibling bricks until no merge applies. Identity pairs never overlap the
-    moved set, so this is exact for elements in any presentation.
+    The domain bricks of the non-identity pairs, merged by `coarsen` as
+    identity pairs (so any two sibling bricks merge). Identity pairs never
+    overlap the moved set, so this is exact for elements in any
+    presentation.
     """
-    bricks = [p.domain for p in f.pairs if not p.is_identity]
-    merged = True
-    while merged:
-        merged = False
-        bricks.sort(key=Brick.sort_key)
-        for i in range(len(bricks)):
-            for j in range(i + 1, len(bricks)):
-                pair = _sibling_axis(bricks[i], bricks[j])
-                if pair is not None:
-                    joined = bricks[i].double(pair)
-                    del bricks[j], bricks[i]
-                    bricks.append(joined)
-                    merged = True
-                    break
-            if merged:
-                break
-    return tuple(sorted(bricks, key=Brick.sort_key))
-
-
-def _sibling_axis(a: Brick, b: Brick) -> int | None:
-    """The axis along which a and b are sibling halves, if there is one."""
-    if a.dimension != b.dimension:
-        return None
-    axis = None
-    for i, (ca, cb) in enumerate(zip(a.cells, b.cells)):
-        if ca == cb:
-            continue
-        if axis is not None:
-            return None
-        if ca.exponent != cb.exponent or ca.exponent == 0:
-            return None
-        if ca.numerator ^ cb.numerator != 1:
-            return None
-        axis = i
-    return axis
+    moved = tuple(Pair(p.domain, p.domain) for p in f.pairs if not p.is_identity)
+    return tuple(p.domain for p in coarsen(Element(f.dimension, moved)).pairs)
 
 
 def coarsen(f: Element) -> Element:
-    """The canonical reduced presentation of the same map.
+    """A reduced presentation of the same map.
 
-    Repeatedly merges two pairs whose domain bricks are siblings along some
-    axis a, whose range bricks are siblings along the same axis, with lower
-    half mapping to lower half. Only such merges preserve the map, so the
-    result is independent of scan order; the scan is deterministic anyway.
+    Merges two pairs whose domain bricks are sibling halves along some axis
+    a and whose range bricks are siblings along a, lower half carrying lower
+    half; only such merges preserve the map. Until none applies, the pair
+    with the lowest domain key that is the lower half of such a sibling pair
+    merges along its highest such axis (the partner with the lowest key). A
+    heap of domain keys finds that pair: a pair enters it when it appears
+    and again when its partner appears.
+
+    The result depends on the presentation, not only on the map: merges
+    compete for bricks, so two presentations of one map can reduce to
+    different, equally irreducible presentations.
     """
-    pairs = list(f.pairs)
-    merged = True
-    while merged:
-        merged = False
-        pairs.sort(key=lambda p: p.domain.sort_key())
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                a, b = pairs[i], pairs[j]
-                axis = _sibling_axis(a.domain, b.domain)
-                if axis is None:
-                    continue
-                if _sibling_axis(a.range, b.range) != axis:
-                    continue
-                # Orientation: lower domain half must carry lower range half.
-                if a.domain.cells[axis].is_lower_child != a.range.cells[axis].is_lower_child:
-                    continue
-                if b.domain.cells[axis].is_lower_child != b.range.cells[axis].is_lower_child:
-                    continue
-                joined = Pair(a.domain.double(axis), a.range.double(axis))
-                del pairs[j], pairs[i]
-                pairs.append(joined)
-                merged = True
-                break
-            if merged:
-                break
-    return Element(f.dimension, tuple(pairs))
+    live = {p.domain.sort_key(): p for p in f.pairs}
+    heap = list(live)
+    heapq.heapify(heap)
+    while heap:
+        key = heapq.heappop(heap)
+        p = live.get(key)
+        if p is None:
+            continue
+        d, r = p.domain, p.range
+        for axis in reversed(range(f.dimension)):
+            cd, cr = d.cells[axis], r.cells[axis]
+            if not cd.exponent or not cr.exponent or (cd.numerator | cr.numerator) & 1:
+                continue
+            partner = d.sibling(axis).sort_key()
+            q = live.get(partner)
+            if q is None or q.range != r.sibling(axis):
+                continue
+            del live[key], live[partner]
+            joined = Pair(d.double(axis), r.double(axis))
+            key = joined.domain.sort_key()
+            live[key] = joined
+            heapq.heappush(heap, key)
+            for a, c in enumerate(joined.domain.cells):
+                if c.numerator & 1:
+                    lower = joined.domain.sibling(a).sort_key()
+                    if lower in live:
+                        heapq.heappush(heap, lower)
+            break
+    return Element(f.dimension, tuple(live.values()))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 
 from .errors import ElementError, GeometryError, NvError, ParseError, PartitionError
-from .geometry import Brick, Cell, Partition, partition_validate, unit_brick
+from .geometry import MAX_EXPONENT, Brick, Cell, Partition, partition_validate, unit_brick
 from .elements import Element, Pair, Word
 
 _CELL_RE = re.compile(r"(\d+)/2\^(\d+)")
@@ -56,12 +56,18 @@ def parse_dyadic(text: str):
     from fractions import Fraction
 
     text = text.strip()
-    if re.fullmatch(r"\d+", text):
-        return Fraction(int(text))
-    m = re.fullmatch(r"(\d+)/2\^(\d+)", text)
-    if m:
-        return Fraction(int(m.group(1)), 1 << int(m.group(2)))
-    raise ParseError(f"syntax error: expected 'k' or 'k/2^e', got {text!r}")
+    m = re.fullmatch(r"(\d+)(?:/2\^(\d+))?", text)
+    if not m:
+        raise ParseError(f"syntax error: expected 'k' or 'k/2^e', got {text!r}")
+    try:
+        numerator, exponent = int(m.group(1)), int(m.group(2) or 0)
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError("semantic error: number has too many digits") from exc
+    if exponent > MAX_EXPONENT:
+        raise ParseError(
+            f"semantic error: exponent {exponent} exceeds the limit {MAX_EXPONENT}"
+        )
+    return Fraction(numerator, 1 << exponent)
 
 
 def _parse_cell(text: str, line: int, column: int) -> Cell:
@@ -148,12 +154,11 @@ def serialize_element(e: Element) -> str:
 def parse_word(text: str) -> Word:
     """A word file: element blocks separated by ``--`` lines, top block first."""
     blocks: list[list[Line]] = [[]]
-    for number, raw in enumerate(text.split("\n"), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped == "--":
+    for line in _significant_lines(text):
+        if line[1] == "--":
             blocks.append([])
-        elif stripped:
-            blocks[-1].append((number, stripped))
+        else:
+            blocks[-1].append(line)
     blocks = [b for b in blocks if b]
     if not blocks:
         raise ParseError("syntax error: empty word file")
@@ -318,7 +323,6 @@ def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
 
 def load_element(text: str, dimension: int | None = None) -> Element:
     """Parse either element syntax, sniffing tree pairs by their ``=>``."""
-    stripped = "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
-    if "=>" in stripped:
+    if any("=>" in content for _, content in _significant_lines(text)):
         return parse_tree_pair(text, dimension)
     return parse_element(text)

@@ -92,8 +92,11 @@ def make_baker(spec: BakerSpec) -> Element:
 def is_transposition_form(f: Element) -> tuple[bool, TranspositionSpec | None]:
     """Recognize transpositions from the coarsened presentation.
 
-    Returns (recognized, spec); the spec reports the coarsened ambient
-    partition, so its `proper` flag refers to the reduced form.
+    Returns (recognized, spec). The spec's ambient is the domain partition
+    of `coarsen(f)`, which depends on f's presentation: two presentations
+    of one transposition can report different ambients. Its `proper` flag
+    does not: the reduced form keeps an identity pair exactly when the map
+    fixes some point.
     """
     g = coarsen(f)
     moved = [p for p in g.pairs if not p.is_identity]
@@ -113,15 +116,12 @@ def is_baker_form(f: Element) -> tuple[bool, BakerSpec | None]:
     if len(moved) != 2:
         return False, None
     p, q = moved
-    support_p = _halving_axis_parent(p.domain, q.domain)
-    if support_p is None:
+    split_axis = _sibling_axis(p.domain, q.domain)
+    merge_axis = _sibling_axis(p.range, q.range)
+    if split_axis is None or merge_axis is None or split_axis == merge_axis:
         return False, None
-    support_r = _halving_axis_parent(p.range, q.range)
-    if support_r is None:
-        return False, None
-    (split_axis, support) = support_p
-    (merge_axis, support2) = support_r
-    if support != support2 or split_axis == merge_axis:
+    support = p.domain.double(split_axis)
+    if support != p.range.double(merge_axis):
         return False, None
     # Orientation: the lower split half must land on the lower merge half.
     lower_dom = p if p.domain.cells[split_axis].is_lower_child else q
@@ -132,8 +132,8 @@ def is_baker_form(f: Element) -> tuple[bool, BakerSpec | None]:
     return True, BakerSpec(support, split_axis, merge_axis)
 
 
-def _halving_axis_parent(a: Brick, b: Brick) -> tuple[int, Brick] | None:
-    """If a and b are the two halves of a brick along one axis, return it."""
+def _sibling_axis(a: Brick, b: Brick) -> int | None:
+    """The axis along which a and b are sibling halves, if there is one."""
     axis = None
     for i, (ca, cb) in enumerate(zip(a.cells, b.cells)):
         if ca == cb:
@@ -143,6 +143,4 @@ def _halving_axis_parent(a: Brick, b: Brick) -> tuple[int, Brick] | None:
         if ca.exponent != cb.exponent or ca.exponent == 0 or ca.numerator ^ cb.numerator != 1:
             return None
         axis = i
-    if axis is None:
-        return None
-    return axis, a.double(axis)
+    return axis

@@ -8,8 +8,9 @@ flipped when mapped to SVG coordinates. Coordinates are exact: dyadic
 rationals have finite decimal expansions, emitted in full with trailing
 zeros stripped.
 
-The element is coarsened before drawing, so any two presentations of the
-same map render to identical bytes.
+The element is coarsened before drawing. Coarsening is not canonical: two
+presentations of one map, even one a refinement of the other, can reduce
+to different presentations and then render to different bytes.
 """
 
 from __future__ import annotations

@@ -350,6 +350,34 @@ class TestRandomCommand:
         assert os.listdir(outdir) == ["element-0000.nv"]
 
 
+FAIL_CLOSED_CASES = {
+    "random_dim_zero": ("random", "--dim", "0", "--depth", "3", "--seed", "1"),
+    "random_negative_depth": ("random", "--dim", "2", "--depth", "-1", "--seed", "1"),
+    "random_count_zero": ("random", "--dim", "2", "--depth", "3", "--seed", "1", "--count", "0"),
+    "epsilon_long_exponent": (
+        "factor-baker", "--dim", "2", "--axes", "0,1", "--epsilon", "1/2^" + "9" * 5000,
+    ),
+    "epsilon_long_numerator": (
+        "factor-baker", "--dim", "2", "--axes", "0,1", "--epsilon", "9" * 5000 + "/2^3",
+    ),
+    "epsilon_huge_exponent": (
+        "factor-baker", "--dim", "2", "--axes", "0,1", "--epsilon", "1/2^10000000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", FAIL_CLOSED_CASES.values(), ids=FAIL_CLOSED_CASES.keys())
+def test_bad_input_fails_closed(run, tmp_path, argv):
+    out = tmp_path / "out"
+    code, stdout, err = run(*argv, "-o", str(out))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists()
+    assert os.listdir(tmp_path) == []
+
+
 class TestUsageErrors:
     def test_no_arguments(self, run):
         assert run()[0] == 2

@@ -1,0 +1,165 @@
+"""`coarsen` and `support` against the restart scans they replaced.
+
+Coarsening is not confluent: which merges happen depends on their order,
+so the worklist must reproduce the order of the original scans exactly.
+The reference scans below are those originals, kept verbatim in behaviour:
+sort, merge the first mergeable pair found, start over.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nvbaker import (
+    BakerSpec,
+    Brick,
+    Element,
+    Pair,
+    RandomElementSpec,
+    coarsen,
+    equals,
+    factor_baker,
+    random_element,
+    render_svg,
+    support,
+    then,
+    unit_brick,
+)
+
+from conftest import brick
+
+
+def sibling_axis(a: Brick, b: Brick) -> int | None:
+    axis = None
+    for i, (ca, cb) in enumerate(zip(a.cells, b.cells)):
+        if ca == cb:
+            continue
+        if axis is not None:
+            return None
+        if ca.exponent != cb.exponent or ca.exponent == 0:
+            return None
+        if ca.numerator ^ cb.numerator != 1:
+            return None
+        axis = i
+    return axis
+
+
+def reference_coarsen(f: Element) -> Element:
+    pairs = list(f.pairs)
+    merged = True
+    while merged:
+        merged = False
+        pairs.sort(key=lambda p: p.domain.sort_key())
+        for i in range(len(pairs)):
+            for j in range(i + 1, len(pairs)):
+                a, b = pairs[i], pairs[j]
+                axis = sibling_axis(a.domain, b.domain)
+                if axis is None or sibling_axis(a.range, b.range) != axis:
+                    continue
+                if a.domain.cells[axis].is_lower_child != a.range.cells[axis].is_lower_child:
+                    continue
+                if b.domain.cells[axis].is_lower_child != b.range.cells[axis].is_lower_child:
+                    continue
+                joined = Pair(a.domain.double(axis), a.range.double(axis))
+                del pairs[j], pairs[i]
+                pairs.append(joined)
+                merged = True
+                break
+            if merged:
+                break
+    return Element(f.dimension, tuple(pairs))
+
+
+def reference_support(f: Element) -> tuple[Brick, ...]:
+    bricks = [p.domain for p in f.pairs if not p.is_identity]
+    merged = True
+    while merged:
+        merged = False
+        bricks.sort(key=Brick.sort_key)
+        for i in range(len(bricks)):
+            for j in range(i + 1, len(bricks)):
+                axis = sibling_axis(bricks[i], bricks[j])
+                if axis is not None:
+                    joined = bricks[i].double(axis)
+                    del bricks[j], bricks[i]
+                    bricks.append(joined)
+                    merged = True
+                    break
+            if merged:
+                break
+    return tuple(sorted(bricks, key=Brick.sort_key))
+
+
+def assert_matches_reference(e: Element) -> None:
+    assert coarsen(e).pairs == reference_coarsen(e).pairs
+    assert support(e) == reference_support(e)
+
+
+def refine(e: Element, cuts: list[tuple[int, int]]) -> Element:
+    """The same map with chosen pairs split along chosen axes, lower to lower."""
+    pairs = list(e.pairs)
+    for index, axis in cuts:
+        p = pairs.pop(index % len(pairs))
+        axis %= e.dimension
+        if p.domain.cells[axis].exponent == 6 or p.range.cells[axis].exponent == 6:
+            pairs.append(p)
+            continue
+        pairs.extend(Pair(d, r) for d, r in zip(p.domain.split(axis), p.range.split(axis)))
+    return Element.from_pairs(pairs)
+
+
+seeds = st.integers(0, 2**32)
+cuts = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3)), max_size=24)
+
+
+@st.composite
+def elements(draw, max_depth: int = 6):
+    dim = draw(st.integers(1, 4))
+    return random_element(RandomElementSpec(dim, draw(st.integers(2, max_depth)), draw(seeds)))
+
+
+@settings(deadline=None)
+@given(elements(), cuts)
+def test_random_and_refined_elements(e, chosen):
+    assert_matches_reference(e)
+    refined = refine(e, chosen)
+    assert_matches_reference(refined)
+    assert equals(refined, e)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_products(data):
+    f = data.draw(elements(max_depth=4))
+    spec = RandomElementSpec(f.dimension, data.draw(st.integers(2, 4)), data.draw(seeds))
+    g = refine(random_element(spec), data.draw(cuts))
+    assert_matches_reference(then(f, g))
+
+
+def test_seeded_corpus_and_factors():
+    corpus = [random_element(RandomElementSpec(2, 5, seed)) for seed in range(200)]
+    corpus += [random_element(RandomElementSpec(3, 5, seed)) for seed in range(500, 550)]
+    corpus += [then(a, b) for a, b in zip(corpus[:40], corpus[1:41])]
+    corpus += factor_baker(BakerSpec(unit_brick(2), 0, 1)).word.factors
+    corpus += factor_baker(BakerSpec(brick("1/2^1,0/2^0,1/2^2"), 2, 0)).word.factors
+    for e in corpus:
+        assert_matches_reference(e)
+
+
+def test_coarsening_is_not_confluent():
+    # Quadrants Q00, Q10, Q01 fixed; the two x-halves of Q11 swapped.
+    q00, q10, q01 = brick("0/2^1,0/2^1"), brick("1/2^1,0/2^1"), brick("0/2^1,1/2^1")
+    a, b = brick("2/2^2,1/2^1"), brick("3/2^2,1/2^1")
+    swaps = [Pair(a, b), Pair(b, a)]
+    from_quadrants = Element.from_pairs([Pair(q, q) for q in (q00, q10, q01)] + swaps)
+    bottom = brick("0/2^0,0/2^1")
+    from_bottom = Element.from_pairs([Pair(bottom, bottom), Pair(q01, q01)] + swaps)
+    assert equals(from_quadrants, from_bottom)
+
+    left = brick("0/2^1,0/2^0")
+    assert coarsen(from_quadrants).pairs == Element(
+        2, (Pair(left, left), Pair(q10, q10), *swaps)
+    ).pairs
+    assert coarsen(from_bottom).pairs == Element(
+        2, (Pair(bottom, bottom), Pair(q01, q01), *swaps)
+    ).pairs
+    assert render_svg(from_quadrants) != render_svg(from_bottom)

@@ -49,6 +49,15 @@ class TestMapThrough:
         with pytest.raises(ElementError):
             map_through(brick("1/2^1,0/2^0"), brick("0/2^1,0/2^0"), unit_brick(2))
 
+    def test_dimensions_must_agree(self):
+        half = brick("0/2^1,0/2^0")
+        with pytest.raises(DimensionMismatchError):
+            map_through(half, unit_brick(2), unit_brick(3))
+        with pytest.raises(DimensionMismatchError):
+            map_through(half, unit_brick(3), unit_brick(3))
+        with pytest.raises(DimensionMismatchError):
+            map_through(brick("0/2^1"), unit_brick(2), unit_brick(2))
+
     def test_matches_pointwise_affine_map(self):
         # The image brick is exactly the set of pointwise images.
         from conftest import affine_image

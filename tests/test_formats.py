@@ -49,6 +49,12 @@ class TestParseDyadic:
             with pytest.raises(ParseError, match="syntax error"):
                 parse_dyadic(bad)
 
+    def test_refuses_oversized_numbers_before_building_them(self):
+        assert parse_dyadic("1/2^64") == Fraction(1, 1 << 64)
+        for bad in ("1/2^65", "1/2^10000000000", "1/2^" + "9" * 5000, "9" * 5000 + "/2^3"):
+            with pytest.raises(ParseError, match="semantic error"):
+                parse_dyadic(bad)
+
 
 class TestParseBrick:
     def test_basic(self):
