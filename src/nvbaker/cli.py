@@ -35,6 +35,12 @@ from .geometry import Partition, unit_brick
 from .oracle import RandomElementSpec, random_element
 from .svg import render_svg
 
+# `random` bounds, checked before any work: file names run to element-9999.nv
+# and all texts are held in memory; size grows fast with depth, and the
+# range partition of `random_element` costs its square.
+_MAX_RANDOM_COUNT = 10_000
+_MAX_RANDOM_DEPTH = 12
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
@@ -58,18 +64,19 @@ def _load_element_file(path: str) -> Element:
     return load_element(_read(path))
 
 
-def _axes(text: str) -> tuple[int, int]:
+def _int_pair(text: str, flag: str) -> tuple[int, int]:
+    """Two comma-separated integers, as given to --axes and --swap."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise NvError(f"expected two comma-separated axes, got {text!r}")
+        raise NvError(f"{flag} expects two comma-separated integers, got {text!r}")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise NvError(f"axes must be integers, got {text!r}") from exc
+        raise NvError(f"{flag} values must be integers, got {text!r}") from exc
 
 
 def _baker_spec(args: argparse.Namespace) -> BakerSpec:
-    split_axis, merge_axis = _axes(args.axes)
+    split_axis, merge_axis = _int_pair(args.axes, "--axes")
     if args.support is not None:
         support = parse_brick(args.support)
         if args.dim is not None and support.dimension != args.dim:
@@ -118,13 +125,7 @@ def _cmd_baker(args: argparse.Namespace) -> int:
 
 def _cmd_transpose(args: argparse.Namespace) -> int:
     _dimension, bricks = parse_partition(_read(args.ambient))
-    parts = args.swap.split(",")
-    if len(parts) != 2:
-        raise NvError(f"--swap expects two comma-separated indices, got {args.swap!r}")
-    try:
-        p, q = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise NvError(f"--swap indices must be integers, got {args.swap!r}") from exc
+    p, q = _int_pair(args.swap, "--swap")
     for index in (p, q):
         if not 0 <= index < len(bricks):
             raise NvError(
@@ -184,8 +185,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_random(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise NvError(f"--count must be >= 1, got {args.count}")
+    if not 1 <= args.count <= _MAX_RANDOM_COUNT:
+        raise NvError(f"--count must be in 1..{_MAX_RANDOM_COUNT}, got {args.count}")
+    if args.depth > _MAX_RANDOM_DEPTH:
+        raise NvError(f"--depth must be at most {_MAX_RANDOM_DEPTH}, got {args.depth}")
     try:
         specs = [
             RandomElementSpec(args.dim, args.depth, args.seed + i) for i in range(args.count)
@@ -308,10 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,8 @@
 The pipeline:
 
   split_baker          one baker's map -> two half-support baker's maps
-                       plus a correcting transposition (two flavors, chosen
-                       by whether the support is halved along the split axis
-                       or the image is halved along the merge axis)
+                       plus a correcting transposition (the support halved
+                       along the split axis or along the merge axis)
   shrink               iterate splits until every support's diameter is
                        below a requested bound
   cancel_disjoint_pair three transpositions multiplying to
@@ -43,48 +42,31 @@ def split_baker(
 ) -> tuple[Element, BakerSpec, BakerSpec]:
     """Split one baker's map into two on half supports plus a transposition.
 
-    With support S, split axis i, merge axis j:
+    With support S, split axis i and merge axis j, halve S into lower and
+    upper along i (``along="domain"``) or along j (``along="range"``); the
+    sub-maps are the baker's maps on those halves with the same axes. Cut
+    each half in two along j, giving quarters q0, q1, q2, q3 in that order;
+    the correcting transposition t swaps q1 with q2 and fixes the rest, and
 
-    * ``along="domain"`` halves S along i. The sub-maps act on the i-halves
-      of S, each splitting along i and merging along j in place. The
-      correcting transposition swaps the two off-diagonal (i, j)-quarters
-      of S (lower-i upper-j with upper-i lower-j), and
+        baker(S) = baker(lower) . baker(upper) . t
 
-          baker(S) = baker(lower) . baker(upper) . t
-
-      with factors applied left to right.
-
-    * ``along="range"`` halves S along j, so the sub-maps act on the
-      j-halves. The correcting transposition swaps the middle two j-quarter
-      slabs of S, and the identity has the same shape.
+    with factors applied left to right. For "domain" q1 and q2 are the two
+    off-diagonal (i, j)-quarters of S; for "range" they are its middle two
+    j-quarter slabs.
     """
     i, j = spec.split_axis, spec.merge_axis
-    if along == "domain":
-        lo, hi = spec.support.split(i)
-        quarters = _plane_quarters(spec.support, i, j)
-        pattern = tuple(quarters.values())
-        swap_a, swap_b = quarters[(0, 1)], quarters[(1, 0)]
-    elif along == "range":
-        lo, hi = spec.support.split(j)
-        bands = (*lo.split(j), *hi.split(j))
-        pattern = bands
-        swap_a, swap_b = bands[1], bands[2]
-    else:
+    if along not in ("domain", "range"):
         raise FactorizationError(f"unknown split kind: {along!r}")
-
+    lo, hi = spec.support.split(i if along == "domain" else j)
+    pattern = (*lo.split(j), *hi.split(j))
     outside = tile_complement(spec.dimension, [spec.support])
-    ambient = Partition(pattern + tuple(outside))
-    t = make_transposition(TranspositionSpec(ambient, swap_a, swap_b))
+    t = _swap((*pattern, *outside), pattern[1], pattern[2])
     return t, BakerSpec(lo, i, j), BakerSpec(hi, i, j)
 
 
-def _plane_quarters(support: Brick, i: int, j: int) -> dict[tuple[int, int], Brick]:
-    """The four quarters of a brick in the (i, j) plane, keyed by half index."""
-    out = {}
-    for ii, ihalf in enumerate(support.split(i)):
-        for jj, quarter in enumerate(ihalf.split(j)):
-            out[(ii, jj)] = quarter
-    return out
+def _swap(bricks: tuple[Brick, ...], a: Brick, b: Brick) -> Element:
+    """The transposition of a and b inside the ambient partition `bricks`."""
+    return make_transposition(TranspositionSpec(Partition(bricks), a, b))
 
 
 @dataclass(frozen=True)
@@ -97,7 +79,7 @@ class ShrinkResult:
     """
 
     input: BakerSpec
-    epsilon: Fraction
+    epsilon: Fraction | None
     sequence: tuple[BakerSpec | Element, ...]
 
     @property
@@ -207,12 +189,10 @@ def cancel_disjoint_pair(a: BakerSpec, b: BakerSpec) -> Word:
     a0, a1 = a.support.split(i)
     b0, b1 = b.support.split(j)
     outside = tile_complement(a.support.dimension, [a.support, b.support])
-    fine = Partition((a0, a1, b0, b1, *outside))
-    coarse = Partition((a.support, b.support, *outside))
-    t1 = make_transposition(TranspositionSpec(fine, a0, b0))
-    t2 = make_transposition(TranspositionSpec(fine, a1, b1))
-    t3 = make_transposition(TranspositionSpec(coarse, a.support, b.support))
-    return Word(a.support.dimension, (t1, t2, t3))
+    fine = (a0, a1, b0, b1, *outside)
+    swaps = (_swap(fine, a0, b0), _swap(fine, a1, b1))
+    last = _swap((a.support, b.support, *outside), a.support, b.support)
+    return Word(a.support.dimension, (*swaps, last))
 
 
 def factor_small_baker(spec: BakerSpec) -> Word:
@@ -295,26 +275,22 @@ def factor_baker(
         return epsilon is not None and b.support.diameter >= epsilon
 
     sequence, levels = _split_rounds(spec, too_big)
+    shrunk = ShrinkResult(spec, epsilon, tuple(sequence))
     factors: list[Element] = []
-    smalls: list[BakerSpec] = []
-    splits: list[Element] = []
     for item in sequence:
         if isinstance(item, BakerSpec):
             factors.extend(factor_small_baker(item).factors)
-            smalls.append(item)
         else:
             factors.append(item)
-            splits.append(item)
     word = Word(spec.dimension, tuple(factors))
-    verified = equals(word.product(), make_baker(spec))
     return FactorizationReport(
         input=spec,
         epsilon=epsilon,
         word=word,
         levels=tuple(levels),
-        small_bakers=tuple(smalls),
-        split_transpositions=tuple(splits),
-        verified=verified,
+        small_bakers=shrunk.small_bakers,
+        split_transpositions=shrunk.transpositions,
+        verified=verify_word(word, spec),
     )
 
 

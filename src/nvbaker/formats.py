@@ -195,22 +195,6 @@ def serialize_partition(p: Partition) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _TreeLeaf:
-    __slots__ = ("label",)
-
-    def __init__(self, label: int):
-        self.label = label
-
-
-class _TreeSplit:
-    __slots__ = ("axis", "lower", "upper")
-
-    def __init__(self, axis: int, lower, upper):
-        self.axis = axis
-        self.lower = lower
-        self.upper = upper
-
-
 _TOKEN_RE = re.compile(r"\(|\)|=>|S\d+|L\d+|\S+")
 
 
@@ -224,45 +208,62 @@ def _tokenize_tree(text: str) -> list[tuple[str, int, int]]:
 
 
 def _parse_tree(tokens: list[tuple[str, int, int]], pos: int):
-    if pos >= len(tokens):
-        raise ParseError("syntax error: unexpected end of tree")
-    tok, line, col = tokens[pos]
-    if tok.startswith("L") and tok[1:].isdigit():
-        return _TreeLeaf(int(tok[1:])), pos + 1
-    if tok == "(":
-        if pos + 1 >= len(tokens):
-            raise ParseError("syntax error: unexpected end of tree", line, col)
-        stok, sline, scol = tokens[pos + 1]
-        if not (stok.startswith("S") and stok[1:].isdigit()):
+    """One tree starting at tokens[pos], and the position after it.
+
+    A tree is a leaf label (an int) or a split (axis, lower, upper). Open
+    splits wait on an explicit stack, so nesting depth is not bounded by the
+    interpreter's recursion limit.
+    """
+    stack: list[tuple[int, int, int, list]] = []  # axis, '(' line and column, children
+    while True:
+        if pos >= len(tokens):
+            raise ParseError("syntax error: unexpected end of tree")
+        tok, line, col = tokens[pos]
+        if tok == "(":
+            if pos + 1 >= len(tokens):
+                raise ParseError("syntax error: unexpected end of tree", line, col)
+            stok, sline, scol = tokens[pos + 1]
+            if not (stok.startswith("S") and stok[1:].isdigit()):
+                raise ParseError(
+                    f"syntax error: expected split 'S<axis>' after '(', got {stok!r}",
+                    sline,
+                    scol,
+                )
+            stack.append((int(stok[1:]), line, col, []))
+            pos += 2
+            continue
+        if not (tok.startswith("L") and tok[1:].isdigit()):
             raise ParseError(
-                f"syntax error: expected split 'S<axis>' after '(', got {stok!r}",
-                sline,
-                scol,
+                f"syntax error: expected a leaf 'L<n>' or '(', got {tok!r}", line, col
             )
-        lower, pos2 = _parse_tree(tokens, pos + 2)
-        upper, pos3 = _parse_tree(tokens, pos2)
-        if pos3 >= len(tokens) or tokens[pos3][0] != ")":
-            where = tokens[pos3][1:] if pos3 < len(tokens) else (line, col)
-            raise ParseError("syntax error: expected ')' closing a split", *where)
-        return _TreeSplit(int(stok[1:]), lower, upper), pos3 + 1
-    raise ParseError(
-        f"syntax error: expected a leaf 'L<n>' or '(', got {tok!r}", line, col
-    )
+        node, pos = int(tok[1:]), pos + 1
+        # Hand the finished node to its parent, closing every split it completes.
+        while stack:
+            stack[-1][3].append(node)
+            if len(stack[-1][3]) < 2:
+                break
+            axis, line, col, (lower, upper) = stack.pop()
+            if pos >= len(tokens) or tokens[pos][0] != ")":
+                where = tokens[pos][1:] if pos < len(tokens) else (line, col)
+                raise ParseError("syntax error: expected ')' closing a split", *where)
+            node, pos = (axis, lower, upper), pos + 1
+        else:
+            return node, pos
 
 
-def _tree_leaves(tree, brick: Brick, out: list[tuple[int, Brick]]) -> None:
-    if isinstance(tree, _TreeLeaf):
-        out.append((tree.label, brick))
-        return
-    lo, hi = brick.split(tree.axis)
-    _tree_leaves(tree.lower, lo, out)
-    _tree_leaves(tree.upper, hi, out)
-
-
-def _max_axis(tree) -> int:
-    if isinstance(tree, _TreeLeaf):
-        return -1
-    return max(tree.axis, _max_axis(tree.lower), _max_axis(tree.upper))
+def _tree_leaves(tree, brick: Brick) -> list[tuple[int, Brick]]:
+    """(label, brick) of every leaf in depth-first lower-half-first order."""
+    out = []
+    todo = [(tree, brick)]
+    while todo:
+        node, brick = todo.pop()
+        if isinstance(node, int):
+            out.append((node, brick))
+        else:
+            axis, lower, upper = node
+            lo, hi = brick.split(axis)
+            todo += ((upper, hi), (lower, lo))
+    return out
 
 
 def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
@@ -286,7 +287,9 @@ def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
         tok, line, col = ran_tokens[used]
         raise ParseError(f"syntax error: trailing {tok!r} after the range tree", line, col)
 
-    inferred = max(_max_axis(dom_tree), _max_axis(ran_tree)) + 1
+    # Both trees used every token, so the S tokens are exactly the splits.
+    axes = [int(tok[1:]) for tok, _, _ in tokens if tok[0] == "S"]
+    inferred = max(axes, default=-1) + 1
     if dimension is None:
         if inferred == 0:
             raise ParseError(
@@ -299,10 +302,8 @@ def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
         )
 
     cube = unit_brick(dimension)
-    dom_leaves: list[tuple[int, Brick]] = []
-    ran_leaves: list[tuple[int, Brick]] = []
-    _tree_leaves(dom_tree, cube, dom_leaves)
-    _tree_leaves(ran_tree, cube, ran_leaves)
+    dom_leaves = _tree_leaves(dom_tree, cube)
+    ran_leaves = _tree_leaves(ran_tree, cube)
 
     labels = [label for label, _ in dom_leaves]
     if labels != list(range(len(labels))):

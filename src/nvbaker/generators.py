@@ -43,15 +43,9 @@ def make_transposition(spec: TranspositionSpec) -> Element:
         raise PartitionError(
             f"ambient is not a partition: {'; '.join(report.problems)}"
         )
-    pairs = []
-    for brick in spec.ambient:
-        if brick == spec.a:
-            pairs.append(Pair(brick, spec.b))
-        elif brick == spec.b:
-            pairs.append(Pair(brick, spec.a))
-        else:
-            pairs.append(Pair(brick, brick))
-    return Element(spec.ambient.dimension, tuple(pairs))
+    image = {spec.a: spec.b, spec.b: spec.a}
+    pairs = tuple(Pair(brick, image.get(brick, brick)) for brick in spec.ambient)
+    return Element(spec.ambient.dimension, pairs)
 
 
 @dataclass(frozen=True)
@@ -98,11 +92,10 @@ def is_transposition_form(f: Element) -> tuple[bool, TranspositionSpec | None]:
     does not: the reduced form keeps an identity pair exactly when the map
     fixes some point.
     """
-    g = coarsen(f)
-    moved = [p for p in g.pairs if not p.is_identity]
-    if len(moved) != 2:
+    moved = _two_moved(f)
+    if moved is None:
         return False, None
-    p, q = moved
+    g, p, q = moved
     if p.domain != q.range or p.range != q.domain:
         return False, None
     spec = TranspositionSpec(g.domain_partition, p.domain, p.range)
@@ -111,11 +104,10 @@ def is_transposition_form(f: Element) -> tuple[bool, TranspositionSpec | None]:
 
 def is_baker_form(f: Element) -> tuple[bool, BakerSpec | None]:
     """Recognize baker's maps from the coarsened presentation."""
-    g = coarsen(f)
-    moved = [p for p in g.pairs if not p.is_identity]
-    if len(moved) != 2:
+    moved = _two_moved(f)
+    if moved is None:
         return False, None
-    p, q = moved
+    _g, p, q = moved
     split_axis = _sibling_axis(p.domain, q.domain)
     merge_axis = _sibling_axis(p.range, q.range)
     if split_axis is None or merge_axis is None or split_axis == merge_axis:
@@ -130,6 +122,13 @@ def is_baker_form(f: Element) -> tuple[bool, BakerSpec | None]:
     # The moved pairs now pin the map exactly (pairs glue canonically and the
     # remaining pairs are identities), so no further comparison is needed.
     return True, BakerSpec(support, split_axis, merge_axis)
+
+
+def _two_moved(f: Element) -> tuple[Element, Pair, Pair] | None:
+    """coarsen(f) and its two non-identity pairs, if it has exactly two."""
+    g = coarsen(f)
+    moved = [p for p in g.pairs if not p.is_identity]
+    return (g, *moved) if len(moved) == 2 else None
 
 
 def _sibling_axis(a: Brick, b: Brick) -> int | None:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from nvbaker import (
     Partition,
     TranspositionSpec,
     equals,
+    factor_baker,
     identity,
     inverse,
     make_baker,
@@ -19,6 +22,7 @@ from nvbaker import (
     parse_word,
     render_svg,
     serialize_element,
+    serialize_word,
     then,
     unit_brick,
 )
@@ -246,6 +250,23 @@ class TestFactorBakerCommand:
         assert payload["epsilon"] == "1/2"
         assert payload["levels"][0] == ["0/2^0,0/2^0"]
 
+    def test_quarter_epsilon_bytes_are_pinned(self, run, tmp_path):
+        word, report = tmp_path / "w.nvw", tmp_path / "r.json"
+        code, _, _ = run(
+            "factor-baker", "--dim", "2", "--axes", "0,1", "--epsilon", "1/2^2",
+            "-o", str(word), "--report", str(report),
+        )
+        assert code == 0
+        spec = BakerSpec(unit_brick(2), 0, 1)
+        library = serialize_word(factor_baker(spec, Fraction(1, 4)).word).encode()
+        assert word.read_bytes() == library
+        assert hashlib.sha256(library).hexdigest() == (
+            "80ab210dba57c9315b79eec1cb5aab70a45ce139258150588e60f98c5ebb4e6e"
+        )
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "66be62fa84d33c2a086c0c68d9c700b04a95a45b564bbb562319f5e3f12894b7"
+        )
+
     def test_bad_epsilon(self, run, tmp_path):
         out = str(tmp_path / "w.nvw")
         code, _, err = run(
@@ -354,6 +375,10 @@ FAIL_CLOSED_CASES = {
     "random_dim_zero": ("random", "--dim", "0", "--depth", "3", "--seed", "1"),
     "random_negative_depth": ("random", "--dim", "2", "--depth", "-1", "--seed", "1"),
     "random_count_zero": ("random", "--dim", "2", "--depth", "3", "--seed", "1", "--count", "0"),
+    "random_count_too_large": (
+        "random", "--dim", "2", "--depth", "3", "--seed", "1", "--count", "10001",
+    ),
+    "random_depth_too_large": ("random", "--dim", "2", "--depth", "13", "--seed", "1"),
     "epsilon_long_exponent": (
         "factor-baker", "--dim", "2", "--axes", "0,1", "--epsilon", "1/2^" + "9" * 5000,
     ),
@@ -376,6 +401,20 @@ def test_bad_input_fails_closed(run, tmp_path, argv):
     assert stdout == ""
     assert not out.exists()
     assert os.listdir(tmp_path) == []
+
+
+def test_deep_tree_file_fails_closed(run, tmp_path):
+    depth = 3000
+    tree = "(S0 " * depth + "L0" + "".join(f" L{k})" for k in range(1, depth + 1))
+    source = tmp_path / "deep.nv"
+    source.write_text(f"{tree}\n=> L0\n")
+    out = tmp_path / "out.nv"
+    code, stdout, err = run("inverse", str(source), "-o", str(out))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert stdout == ""
+    assert os.listdir(tmp_path) == ["deep.nv"]
 
 
 class TestUsageErrors:

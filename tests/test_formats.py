@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,22 @@ class TestTreePairs:
 
     def test_one_dimensional_inference(self):
         assert parse_tree_pair("(S0 L0 L1) => (S0 L1 L0)").dimension == 1
+
+    @staticmethod
+    def _chain(depth: int, dimension: int) -> str:
+        """A tree splitting its lower half `depth` times, cycling the axes."""
+        opens = "".join(f"(S{k % dimension} " for k in range(depth))
+        return opens + "L0" + "".join(f" L{k})" for k in range(1, depth + 1))
+
+    def test_nesting_past_the_recursion_limit_fails_closed(self):
+        # 3,000 splits of one axis: too fine for a cell, never a RecursionError.
+        with pytest.raises(NvError):
+            parse_tree_pair(f"{self._chain(3000, 1)} => L0")
+
+    def test_nesting_past_the_recursion_limit_reaches_the_label_check(self):
+        depth = sys.getrecursionlimit() + 100
+        with pytest.raises(ParseError, match="permutation"):
+            parse_tree_pair(f"{self._chain(depth, 20)} => L0")
 
 
 class TestPartitionFiles:
