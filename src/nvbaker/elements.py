@@ -119,10 +119,6 @@ class Element:
     def domain_partition(self) -> Partition:
         return Partition(tuple(p.domain for p in self.pairs))
 
-    @property
-    def range_partition(self) -> Partition:
-        return Partition(tuple(p.range for p in self.pairs))
-
     def __len__(self) -> int:
         return len(self.pairs)
 

@@ -51,6 +51,15 @@ def _significant_lines(text: str) -> list[Line]:
     return out
 
 
+def _int(digits: str, line: int | None = None, column: int | None = None) -> int:
+    """The value of a run of digits, refusing more than int() converts."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        message = "semantic error: number has too many digits"
+        raise ParseError(message, line, column) from exc
+
+
 def parse_dyadic(text: str):
     """A dyadic scalar: an integer like ``3`` or a cell-style ``3/2^4``."""
     from fractions import Fraction
@@ -59,10 +68,7 @@ def parse_dyadic(text: str):
     m = re.fullmatch(r"(\d+)(?:/2\^(\d+))?", text)
     if not m:
         raise ParseError(f"syntax error: expected 'k' or 'k/2^e', got {text!r}")
-    try:
-        numerator, exponent = int(m.group(1)), int(m.group(2) or 0)
-    except ValueError as exc:  # more digits than int() converts
-        raise ParseError("semantic error: number has too many digits") from exc
+    numerator, exponent = _int(m.group(1)), _int(m.group(2) or "0")
     if exponent > MAX_EXPONENT:
         raise ParseError(
             f"semantic error: exponent {exponent} exceeds the limit {MAX_EXPONENT}"
@@ -78,8 +84,9 @@ def _parse_cell(text: str, line: int, column: int) -> Cell:
             line,
             column,
         )
+    exponent, numerator = _int(m.group(2), line, column), _int(m.group(1), line, column)
     try:
-        return Cell(int(m.group(2)), int(m.group(1)))
+        return Cell(exponent, numerator)
     except GeometryError as exc:
         raise ParseError(f"semantic error: {exc}", line, column) from exc
 
@@ -116,7 +123,7 @@ def _parse_header(lines: list[Line]) -> int:
         raise ParseError(
             f"syntax error: expected header 'NV <dimension>', got {content!r}", number
         )
-    dimension = int(m.group(1))
+    dimension = _int(m.group(1), number, m.start(1) + 1)
     if dimension < 1:
         raise ParseError(f"semantic error: dimension must be >= 1, got {dimension}", number)
     return dimension
@@ -229,14 +236,14 @@ def _parse_tree(tokens: list[tuple[str, int, int]], pos: int):
                     sline,
                     scol,
                 )
-            stack.append((int(stok[1:]), line, col, []))
+            stack.append((_int(stok[1:], sline, scol), line, col, []))
             pos += 2
             continue
         if not (tok.startswith("L") and tok[1:].isdigit()):
             raise ParseError(
                 f"syntax error: expected a leaf 'L<n>' or '(', got {tok!r}", line, col
             )
-        node, pos = int(tok[1:]), pos + 1
+        node, pos = _int(tok[1:], line, col), pos + 1
         # Hand the finished node to its parent, closing every split it completes.
         while stack:
             stack[-1][3].append(node)
@@ -288,7 +295,7 @@ def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
         raise ParseError(f"syntax error: trailing {tok!r} after the range tree", line, col)
 
     # Both trees used every token, so the S tokens are exactly the splits.
-    axes = [int(tok[1:]) for tok, _, _ in tokens if tok[0] == "S"]
+    axes = [_int(tok[1:], line, col) for tok, line, col in tokens if tok[0] == "S"]
     inferred = max(axes, default=-1) + 1
     if dimension is None:
         if inferred == 0:

@@ -9,6 +9,11 @@ Fractions appear only at the boundary (reporting endpoints, measures, point
 membership); every decision procedure runs on integers, and so do the sort
 keys: a cell sorts by its left endpoint scaled by 2^MAX_EXPONENT, an exact
 integer, then by its exponent.
+
+`brick_meets` and `tile_complement` descend from the unit cube like a k-d
+tree (Bentley 1975), on an explicit stack of integer regions. They share
+the column and halving helpers, not the split rule: `tile_complement` halves
+along the lowest axis where a live hole is finer, which pins its tiles.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from .errors import (
     PartitionError,
 )
 
-# Hard ceiling on cell exponents. Every operation that could deepen a cell
-# goes through Cell, so enforcing the bound in one place guards the whole
-# library against runaway refinement.
+# Hard ceilings on cell exponents and on axes. Cells deepen only through Cell
+# and a bare dimension becomes cells only in `unit_brick`, so one check in
+# each guards the whole library against runaway work.
 MAX_EXPONENT = 64
+MAX_DIMENSION = 64
 
 
 class CellRelation(Enum):
@@ -146,10 +152,6 @@ class Brick:
     def is_unit(self) -> bool:
         return all(c.exponent == 0 for c in self.cells)
 
-    def side(self, axis: int) -> Cell:
-        self._check_axis(axis)
-        return self.cells[axis]
-
     def split(self, axis: int) -> tuple["Brick", "Brick"]:
         """Halve along one axis into (lower, upper)."""
         self._check_axis(axis)
@@ -256,11 +258,8 @@ def brick_meets(
     for b in bricks:
         if b.dimension != dim:
             raise DimensionMismatchError(f"bricks of dimensions {dim} and {b.dimension}")
-    # Bricks are numbered xs first, then ys; exps[a][k] and nums[a][k] are
-    # the cell of brick k on axis a.
-    nx = len(xs)
-    exps = [[b.cells[a].exponent for b in bricks] for a in range(dim)]
-    nums = [[b.cells[a].numerator for b in bricks] for a in range(dim)]
+    nx = len(xs)  # bricks are numbered xs first, then ys
+    exps, nums = _columns(bricks, dim)
     out: list[tuple[int, int, Brick]] = []
     # A region is its cell exponents and numerators by axis, with the live
     # bricks of each list.
@@ -285,13 +284,24 @@ def brick_meets(
         e = r_exps[axis]
         lo_x, hi_x = _halve(live_x, exps[axis], nums[axis], e)
         lo_y, hi_y = _halve(live_y, exps[axis], nums[axis], e)
-        child_exps = r_exps[:axis] + (e + 1,) + r_exps[axis + 1 :]
-        n = r_nums[axis] << 1
-        for bit, half_x, half_y in ((1, hi_x, hi_y), (0, lo_x, lo_y)):
+        lo, hi = _halve_region(r_exps, r_nums, axis)
+        for half, half_x, half_y in ((hi, hi_x, hi_y), (lo, lo_x, lo_y)):
             if half_x and half_y:
-                child_nums = r_nums[:axis] + (n | bit,) + r_nums[axis + 1 :]
-                stack.append((child_exps, child_nums, half_x, half_y))
+                stack.append((*half, half_x, half_y))
     return out
+
+
+def _columns(bricks: Sequence[Brick], dim: int) -> tuple[list, list]:
+    """exps[a][k] and nums[a][k] are the integers of brick k's cell on axis a."""
+    exps = [[b.cells[a].exponent for b in bricks] for a in range(dim)]
+    return exps, [[b.cells[a].numerator for b in bricks] for a in range(dim)]
+
+
+def _halve_region(r_exps: tuple, r_nums: tuple, axis: int) -> tuple[tuple, tuple]:
+    """The (lower, upper) halves of a region along an axis, each (exps, nums)."""
+    exps = r_exps[:axis] + (r_exps[axis] + 1,) + r_exps[axis + 1 :]
+    n, before, after = r_nums[axis] << 1, r_nums[:axis], r_nums[axis + 1 :]
+    return (exps, before + (n,) + after), (exps, before + (n | 1,) + after)
 
 
 def _split_axis(
@@ -399,8 +409,8 @@ def partition_validate(bricks: Iterable[Brick]) -> ValidationReport:
 
 
 def unit_brick(dimension: int) -> Brick:
-    if dimension < 1:
-        raise GeometryError(f"dimension must be >= 1, got {dimension}")
+    if not 1 <= dimension <= MAX_DIMENSION:
+        raise GeometryError(f"dimension must be in 1..{MAX_DIMENSION}, got {dimension}")
     return Brick(tuple(Cell(0, 0) for _ in range(dimension)))
 
 
@@ -440,10 +450,10 @@ def peel_to_unit(brick: Brick) -> list[Brick]:
 def tile_complement(dimension: int, holes: Sequence[Brick]) -> list[Brick]:
     """Tile [0,1)^n minus the given disjoint holes with dyadic bricks.
 
-    Recursive descent from the unit cube: a region disjoint from every hole
-    is emitted whole, a region inside a hole is dropped, anything else is
-    halved along the first axis where some intersecting hole is strictly
-    thinner than the region.
+    Explicit-stack descent from the unit cube: a region meeting no hole is
+    emitted whole; otherwise it is halved along the lowest axis on which a
+    live hole is finer, lower half first, a rule that pins the tiles and
+    their order. With no such axis, its one live hole contains it: dropped.
     """
     for b in holes:
         if b.dimension != dimension:
@@ -454,28 +464,21 @@ def tile_complement(dimension: int, holes: Sequence[Brick]) -> list[Brick]:
     if overlaps:
         i, j = overlaps[0]
         raise GeometryError(f"holes overlap: {holes[i]} and {holes[j]}")
-
+    exps, nums = _columns(holes, dimension)
     out: list[Brick] = []
-
-    def descend(region: Brick, parent_live: Sequence[Brick]) -> None:
-        # A hole meeting the region meets its parent, so only the parent's
-        # live holes need testing.
-        live = [h for h in parent_live if brick_intersect(region, h) is not None]
+    root = (0,) * dimension
+    stack = [(root, root, list(range(len(holes))))]
+    while stack:
+        r_exps, r_nums, live = stack.pop()
         if not live:
-            out.append(region)
-            return
-        if any(h.contains_brick(region) for h in live):
-            return
-        for axis in range(dimension):
-            rc = region.cells[axis]
-            if any(h.cells[axis].exponent > rc.exponent for h in live):
-                lo, hi = region.split(axis)
-                descend(lo, live)
-                descend(hi, live)
-                return
-        # A live hole that is no finer than the region on any axis contains
-        # it (intersecting cells nest), so one of the branches above ran.
-        raise AssertionError(f"unreachable: no split axis for {region}")
-
-    descend(unit_brick(dimension), holes)
+            out.append(Brick(tuple(map(Cell, r_exps, r_nums))))
+            continue
+        for axis, e in enumerate(r_exps):
+            if any(exps[axis][k] > e for k in live):
+                break
+        else:  # the region lies inside its one live hole
+            continue
+        lo_live, hi_live = _halve(live, exps[axis], nums[axis], e)
+        lo, hi = _halve_region(r_exps, r_nums, axis)
+        stack += ((*hi, hi_live), (*lo, lo_live))
     return out

@@ -388,6 +388,12 @@ FAIL_CLOSED_CASES = {
     "epsilon_huge_exponent": (
         "factor-baker", "--dim", "2", "--axes", "0,1", "--epsilon", "1/2^10000000000",
     ),
+    "support_long_numerator": (
+        "baker", "--support", "9" * 5000 + "/2^3,0/2^0", "--axes", "0,1",
+    ),
+    "baker_dim_too_large": ("baker", "--dim", "65", "--axes", "0,1"),
+    "factor_baker_dim_too_large": ("factor-baker", "--dim", "65", "--axes", "0,1"),
+    "random_dim_too_large": ("random", "--dim", "65", "--depth", "1", "--seed", "1"),
 }
 
 
@@ -415,6 +421,28 @@ def test_deep_tree_file_fails_closed(run, tmp_path):
     assert "Traceback" not in err
     assert stdout == ""
     assert os.listdir(tmp_path) == ["deep.nv"]
+
+
+BAD_FILES = {
+    "header_long_dimension": "NV " + "9" * 5000 + "\n0/2^0 -> 0/2^0\n",
+    "cell_long_numerator": "NV 1\n" + "9" * 5000 + "/2^3 -> 0/2^0\n",
+    "tree_long_axis": "(S" + "9" * 5000 + " L0 L1) => (S0 L1 L0)\n",
+    "tree_long_label": "(S0 L0 L1) => (S0 L1 L" + "9" * 5000 + ")\n",
+    "tree_dim_too_large": "(S64 L0 L1) => (S64 L1 L0)\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_FILES.values(), ids=BAD_FILES.keys())
+def test_bad_file_fails_closed(run, tmp_path, text):
+    source = tmp_path / "bad.nv"
+    source.write_text(text)
+    out = tmp_path / "out.nv"
+    code, stdout, err = run("inverse", str(source), "-o", str(out))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert stdout == ""
+    assert os.listdir(tmp_path) == ["bad.nv"]
 
 
 class TestUsageErrors:

@@ -57,6 +57,27 @@ class TestParseDyadic:
                 parse_dyadic(bad)
 
 
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, column",
+    [
+        (parse_element, f"NV {LONG}\n0/2^0 -> 0/2^0\n", 1, 4),
+        (parse_element, f"NV 1\n0/2^0 -> {LONG}/2^3\n", 2, 9),
+        (parse_element, f"NV 1\n0/2^{LONG} -> 0/2^0\n", 2, 1),
+        (parse_word, f"NV 1\n0/2^0 -> 0/2^0\n--\nNV 1\n{LONG}/2^3 -> 0/2^0\n", 5, 1),
+        (parse_partition, f"NV 2\n0/2^1,{LONG}/2^1\n", 2, 7),
+        (parse_tree_pair, f"(S{LONG} L0 L1) => (S0 L1 L0)\n", 1, 2),
+        (parse_tree_pair, f"(S0 L0 L1) =>\n(S0 L1 L{LONG})\n", 2, 8),
+    ],
+)
+def test_oversized_numbers_fail_at_their_position(parse, text, line, column):
+    with pytest.raises(ParseError, match="too many digits") as info:
+        parse(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 class TestParseBrick:
     def test_basic(self):
         b = parse_brick("1/2^1,2/2^2")

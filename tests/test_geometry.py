@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nvbaker.geometry
 from nvbaker import (
+    MAX_DIMENSION,
     Brick,
     Cell,
     CellRelation,
@@ -12,12 +15,14 @@ from nvbaker import (
     GeometryError,
     Partition,
     PartitionError,
+    RandomElementSpec,
     brick_intersect,
     bricks_disjoint,
     cell_relation,
     common_refinement,
     partition_validate,
     peel_to_unit,
+    random_element,
     tile_complement,
     unit_brick,
     unit_partition,
@@ -167,6 +172,13 @@ class TestBrick:
     def test_unit_brick_validation(self):
         with pytest.raises(GeometryError):
             unit_brick(0)
+
+    def test_unit_brick_dimension_is_bounded(self):
+        assert unit_brick(MAX_DIMENSION).dimension == MAX_DIMENSION
+        # Refused before a cell is built, so a huge dimension costs nothing.
+        for dimension in (MAX_DIMENSION + 1, 10**8):
+            with pytest.raises(GeometryError, match="dimension must be in"):
+                unit_brick(dimension)
 
 
 class TestBrickIntersect:
@@ -337,3 +349,53 @@ class TestTileComplement:
     def test_overlapping_holes_detected(self):
         with pytest.raises(GeometryError):
             tile_complement(2, [unit_brick(2), brick("0/2^1,0/2^1")])
+
+    def test_deep_hole_in_many_axes(self):
+        # Each of the 1,200 splits adds a level of descent, past the
+        # recursion limit a recursive descent would hit.
+        hole = Brick((Cell(60, 1),) * 20)
+        tiles = tile_complement(20, [hole])
+        assert len(tiles) == 1200
+        assert partition_validate([hole, *tiles])
+
+
+def recursive_tile_complement(dimension, holes):
+    """The recursive descent `tile_complement` replaced, kept as a reference.
+
+    A region disjoint from every hole is emitted whole, a region inside a
+    hole is dropped, anything else is halved along the first axis where
+    some intersecting hole is strictly thinner than the region, lower half
+    first.
+    """
+    out = []
+
+    def descend(region, parent_live):
+        live = [h for h in parent_live if brick_intersect(region, h) is not None]
+        if not live:
+            out.append(region)
+            return
+        if any(h.contains_brick(region) for h in live):
+            return
+        for axis in range(dimension):
+            if any(h.cells[axis].exponent > region.cells[axis].exponent for h in live):
+                lo, hi = region.split(axis)
+                descend(lo, live)
+                descend(hi, live)
+                return
+        raise AssertionError(f"unreachable: no split axis for {region}")
+
+    descend(unit_brick(dimension), holes)
+    return out
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_tile_complement_matches_recursive_reference(data):
+    # Holes are a random subset of a random element's domain partition, so
+    # they are disjoint and of any shape the generator draws.
+    dim = data.draw(st.integers(1, 4))
+    spec = RandomElementSpec(dim, data.draw(st.integers(0, 5)), data.draw(st.integers(0, 2**32)))
+    domain = [p.domain for p in random_element(spec).pairs]
+    holes = data.draw(st.lists(st.sampled_from(domain), unique=True, max_size=len(domain)))
+    holes = data.draw(st.permutations(holes))
+    assert tile_complement(dim, holes) == recursive_tile_complement(dim, holes)

@@ -13,7 +13,9 @@ from nvbaker import (
     brick_intersect,
     brick_meets,
     partition_validate,
+    peel_to_unit,
     random_element,
+    tile_complement,
 )
 
 from conftest import brick
@@ -99,6 +101,26 @@ def pinwheel():
     ]
 
 
+@st.composite
+def deep_bricks(draw):
+    """One brick in up to 6 axes, its exponents summing to at most 24."""
+    dim = draw(st.integers(1, 6))
+    exps = draw(st.lists(st.integers(0, 12), min_size=dim, max_size=dim))
+    while sum(exps) > 24:
+        exps[exps.index(max(exps))] -= 1
+    return Brick(tuple(Cell(e, draw(st.integers(0, (1 << e) - 1))) for e in exps))
+
+
+@st.composite
+def grids(draw, dim):
+    """Every brick of a uniform grid with at most 2^6 bricks."""
+    exps = draw(st.lists(st.integers(0, 3), min_size=dim, max_size=dim))
+    while sum(exps) > 6:
+        exps[exps.index(max(exps))] -= 1
+    axes = [[Cell(e, k) for k in range(1 << e)] for e in exps]
+    return [Brick(cs) for cs in itertools.product(*axes)]
+
+
 dims = st.integers(1, 4)
 
 
@@ -137,6 +159,22 @@ def test_validate_matches_all_pairs(data):
     items = data.draw(st.one_of(brick_lists(dim), domains))
     if items:
         assert partition_validate(items).problems == all_pairs_problems(items)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_complement_chains(data):
+    # A brick with its peeled or tiled complement is a chain of nested
+    # splits, the shape that copies coarse bricks into both halves.
+    b = data.draw(deep_bricks())
+    peeled = [b, *peel_to_unit(b)]
+    tiled = [b, *tile_complement(b.dimension, [b])]
+    grid = data.draw(grids(b.dimension))
+    assert_same_meets(peeled, peeled)
+    assert_same_meets(tiled, tiled)
+    for xs, ys in ((peeled, tiled), (peeled, grid), (tiled, grid)):
+        assert_same_meets(xs, ys)
+        assert_same_meets(ys, xs)
 
 
 def test_pair_coarse_on_split_axis_in_both_lists_reported_once():
