@@ -19,7 +19,14 @@ import tempfile
 from fractions import Fraction
 
 from .errors import NvError
-from .elements import Element, equals, equals_witness, inverse, then
+from .elements import (
+    Element,
+    equals,  # noqa: F401 (kept importable as nvbaker.cli.equals)
+    equals_witness,
+    inverse,
+    product_equals,
+    then,
+)
 from .factorization import FactorizationReport, factor_baker
 from .formats import (
     load_element,
@@ -171,7 +178,7 @@ def _cmd_factor_baker(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     word = parse_word(_read(args.word))
     target = _load_element_file(args.target)
-    if equals(word.product(), target):
+    if product_equals(word, target):
         print("verified")
         return 0
     print("mismatch")

@@ -11,6 +11,12 @@ source cell [k0/2^e0, ...) lands in the destination cell [k1/2^e1, ...) at
 
     e' = e - e0 + e1
     k' = k1 * 2^(e - e0) + (k - k0 * 2^(e - e0))
+
+`Word.product` folds the word with `then`, refining against every factor's
+whole partition. `product_equals` checks a word against a target without
+building the product: it carries pieces of the identity through the word,
+and then through the target's inverse, applying each factor only where it
+moves points, with the pieces found by their range cells in an index.
 """
 
 from __future__ import annotations
@@ -300,3 +306,27 @@ def _fold(factors: Sequence[Element], lo: int, hi: int) -> Element:
         return factors[lo]
     mid = (lo + hi) // 2
     return then(_fold(factors, lo, mid), _fold(factors, mid, hi))
+
+
+def product_equals(word: Word, target: Element) -> bool:
+    """Whether the word's product is exactly `target`; `equals` without the fold.
+
+    One pass carries pieces of the identity through every factor and then
+    through ``inverse(target)``, touching only the pieces that each moved
+    brick meets (see `nvbaker._onepass`). The product equals the target
+    exactly when every final piece is an identity pair, whatever the
+    presentation. Different dimensions compare unequal, as in `equals`.
+    """
+    if word.dimension != target.dimension:
+        return False
+    # Imported on first use, so that commands which never verify do not
+    # load the pass at start-up (as numpy in `oracle`).
+    from ._onepass import product_pieces
+
+    pieces = product_pieces(word, target)
+    # The domains are cut from the cube, so their measures, 2^-depth each,
+    # add up to 1 unless a piece was lost or duplicated.
+    depths = [sum(c.bit_length() - 1 for c in dom) for dom, _ in pieces]
+    deepest = max(depths)
+    whole = sum(1 << (deepest - t) for t in depths) == 1 << deepest
+    return whole and all(dom == rng for dom, rng in pieces)

@@ -14,6 +14,8 @@ The pipeline:
                        in each direction
   factor_baker         full pipeline with verification: split until small,
                        expand each piece, check the product equals the input
+                       (`verify_word`: one pass that applies each factor only
+                       where it moves points, not a fold of the whole word)
 
 Throughout, words multiply left to right: the first factor applies first.
 """
@@ -26,7 +28,12 @@ from typing import Callable, Literal
 
 from .errors import FactorizationError
 from .geometry import MAX_EXPONENT, Brick, Partition, bricks_disjoint, tile_complement
-from .elements import Element, Word, equals
+from .elements import (
+    Element,
+    Word,
+    equals,  # noqa: F401 (kept importable as nvbaker.factorization.equals)
+    product_equals,
+)
 from .generators import (
     BakerSpec,
     TranspositionSpec,
@@ -295,5 +302,9 @@ def factor_baker(
 
 
 def verify_word(word: Word, spec: BakerSpec) -> bool:
-    """Check that a word's product is exactly the given baker's map."""
-    return equals(word.product(), make_baker(spec))
+    """Check that a word's product is exactly the given baker's map.
+
+    Runs `product_equals`, one pass that applies each factor only to the
+    pieces its moved bricks meet, rather than folding the whole word.
+    """
+    return product_equals(word, make_baker(spec))

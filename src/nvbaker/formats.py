@@ -32,22 +32,32 @@ from __future__ import annotations
 import re
 
 from .errors import ElementError, GeometryError, NvError, ParseError, PartitionError
-from .geometry import MAX_EXPONENT, Brick, Cell, Partition, partition_validate, unit_brick
+from .geometry import (
+    MAX_DIMENSION,
+    MAX_EXPONENT,
+    Brick,
+    Cell,
+    Partition,
+    partition_validate,
+    unit_brick,
+)
 from .elements import Element, Pair, Word
 
 _CELL_RE = re.compile(r"(\d+)/2\^(\d+)")
 _HEADER_RE = re.compile(r"NV\s+(\d+)\s*$")
 
-Line = tuple[int, str]
+Line = tuple[int, str, int]
 
 
 def _significant_lines(text: str) -> list[Line]:
-    """(1-based line number, content) with comments and blanks dropped."""
+    """(1-based line number, stripped content, indentation width), with
+    comments and blank lines dropped."""
     out = []
     for number, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0]
+        line = body.strip()
         if line:
-            out.append((number, line))
+            out.append((number, line, len(body) - len(body.lstrip())))
     return out
 
 
@@ -117,13 +127,13 @@ def parse_brick(text: str, dimension: int | None = None) -> Brick:
 def _parse_header(lines: list[Line]) -> int:
     if not lines:
         raise ParseError("syntax error: empty input, expected an NV header")
-    number, content = lines[0]
+    number, content, indent = lines[0]
     m = _HEADER_RE.fullmatch(content)
     if not m:
         raise ParseError(
             f"syntax error: expected header 'NV <dimension>', got {content!r}", number
         )
-    dimension = _int(m.group(1), number, m.start(1) + 1)
+    dimension = _int(m.group(1), number, indent + m.start(1) + 1)
     if dimension < 1:
         raise ParseError(f"semantic error: dimension must be >= 1, got {dimension}", number)
     return dimension
@@ -132,15 +142,15 @@ def _parse_header(lines: list[Line]) -> int:
 def _parse_element_lines(lines: list[Line]) -> Element:
     dimension = _parse_header(lines)
     pairs = []
-    for number, content in lines[1:]:
+    for number, content, indent in lines[1:]:
         sides = content.split("->")
         if len(sides) != 2:
             raise ParseError(
                 "syntax error: expected one '->' between domain and range bricks",
                 number,
             )
-        domain = _parse_brick(sides[0], number, dimension)
-        range_ = _parse_brick(sides[1], number, dimension, len(sides[0]) + 3)
+        domain = _parse_brick(sides[0], number, dimension, indent + 1)
+        range_ = _parse_brick(sides[1], number, dimension, indent + len(sides[0]) + 3)
         pairs.append(Pair(domain, range_))
     try:
         return Element.from_pairs(pairs)
@@ -189,7 +199,10 @@ def parse_partition(text: str) -> tuple[int, list[Brick]]:
     """A partition file; returns (dimension, bricks in file order)."""
     lines = _significant_lines(text)
     dimension = _parse_header(lines)
-    bricks = [_parse_brick(content, number, dimension) for number, content in lines[1:]]
+    bricks = [
+        _parse_brick(content, number, dimension, indent + 1)
+        for number, content, indent in lines[1:]
+    ]
     report = partition_validate(bricks)
     if not report:
         raise ParseError(f"semantic error: {'; '.join(report.problems)}")
@@ -219,9 +232,11 @@ def _parse_tree(tokens: list[tuple[str, int, int]], pos: int):
 
     A tree is a leaf label (an int) or a split (axis, lower, upper). Open
     splits wait on an explicit stack, so nesting depth is not bounded by the
-    interpreter's recursion limit.
+    interpreter's recursion limit. An axis past `MAX_DIMENSION`, or splits
+    of one axis nested past `MAX_EXPONENT`, fail at the split's S token.
     """
     stack: list[tuple[int, int, int, list]] = []  # axis, '(' line and column, children
+    depth: dict[int, int] = {}  # open splits by axis
     while True:
         if pos >= len(tokens):
             raise ParseError("syntax error: unexpected end of tree")
@@ -236,7 +251,23 @@ def _parse_tree(tokens: list[tuple[str, int, int]], pos: int):
                     sline,
                     scol,
                 )
-            stack.append((_int(stok[1:], sline, scol), line, col, []))
+            axis = _int(stok[1:], sline, scol)
+            if axis >= MAX_DIMENSION:
+                raise ParseError(
+                    f"semantic error: split axis {axis} needs dimension {axis + 1}, "
+                    f"above the limit {MAX_DIMENSION}",
+                    sline,
+                    scol,
+                )
+            depth[axis] = depth.get(axis, 0) + 1
+            if depth[axis] > MAX_EXPONENT:
+                raise ParseError(
+                    f"semantic error: splits of axis {axis} nest past the exponent "
+                    f"limit {MAX_EXPONENT}",
+                    sline,
+                    scol,
+                )
+            stack.append((axis, line, col, []))
             pos += 2
             continue
         if not (tok.startswith("L") and tok[1:].isdigit()):
@@ -250,6 +281,7 @@ def _parse_tree(tokens: list[tuple[str, int, int]], pos: int):
             if len(stack[-1][3]) < 2:
                 break
             axis, line, col, (lower, upper) = stack.pop()
+            depth[axis] -= 1
             if pos >= len(tokens) or tokens[pos][0] != ")":
                 where = tokens[pos][1:] if pos < len(tokens) else (line, col)
                 raise ParseError("syntax error: expected ')' closing a split", *where)
@@ -331,6 +363,6 @@ def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
 
 def load_element(text: str, dimension: int | None = None) -> Element:
     """Parse either element syntax, sniffing tree pairs by their ``=>``."""
-    if any("=>" in content for _, content in _significant_lines(text)):
+    if any("=>" in content for _, content, _ in _significant_lines(text)):
         return parse_tree_pair(text, dimension)
     return parse_element(text)

@@ -308,6 +308,14 @@ class TestVerifyCommand:
         assert code == 1
         assert out == "mismatch\n"
 
+    def test_dimension_mismatch(self, run, tmp_path):
+        word, target = tmp_path / "w.nvw", tmp_path / "id3.nv"
+        run("factor-baker", "--dim", "2", "--axes", "0,1", "-o", str(word))
+        target.write_text(serialize_element(identity(3)))
+        code, out, _ = run("verify", str(word), str(target))
+        assert code == 1
+        assert out == "mismatch\n"
+
 
 class TestRenderCommand:
     def test_renders_svg(self, run, tmp_path, baker_file):
@@ -456,13 +464,21 @@ class TestUsageErrors:
         assert run("inverse", baker_file)[0] == 2
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _assert_cli_import_leaves_unloaded(module: str) -> None:
     import nvbaker
 
     src = str(Path(nvbaker.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run(
-        [sys.executable, "-c", "import nvbaker.cli, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c", f"import nvbaker.cli, sys; assert {module!r} not in sys.modules"],
         env=env,
         check=True,
     )
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    _assert_cli_import_leaves_unloaded("numpy")
+
+
+def test_cli_import_leaves_the_verification_pass_unloaded():
+    _assert_cli_import_leaves_unloaded("nvbaker._onepass")

@@ -3,9 +3,13 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvbaker import (
     BakerSpec,
+    Brick,
+    Cell,
     DimensionMismatchError,
     Element,
     ElementError,
@@ -20,11 +24,14 @@ from nvbaker import (
     inverse,
     make_baker,
     map_through,
+    partition_validate,
+    product_equals,
     random_element,
     support,
     then,
     unit_brick,
 )
+from nvbaker._onepass import product_pieces
 
 from conftest import brick, element_image, grid_points
 
@@ -328,3 +335,68 @@ class TestWord:
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
             Word(2, (identity(3),))
+
+
+def _brick(cells: tuple[int, ...]):
+    """The brick of a tuple of cell ints, (1 << e) | k per axis."""
+    return Brick(tuple(Cell(c.bit_length() - 1, c ^ (1 << (c.bit_length() - 1))) for c in cells))
+
+
+@st.composite
+def words_and_targets(draw):
+    """A word of 0-5 random elements and a target: its product, the
+    product without the first factor, or an unrelated element."""
+    dim = draw(st.integers(1, 4))
+    seeds = st.integers(0, 2**32)
+    factors = tuple(
+        random_element(RandomElementSpec(dim, draw(st.integers(0, 4)), draw(seeds)))
+        for _ in range(draw(st.integers(0, 5)))
+    )
+    kind = draw(st.sampled_from(["product", "drop_first", "unrelated"]))
+    if kind == "unrelated":
+        target = random_element(RandomElementSpec(dim, draw(st.integers(0, 4)), draw(seeds)))
+    else:
+        target = Word(dim, factors[kind == "drop_first" :]).product()
+    return Word(dim, factors), target
+
+
+class TestProductEquals:
+    @settings(deadline=None, max_examples=150)
+    @given(words_and_targets())
+    def test_agrees_with_the_fold(self, case):
+        word, target = case
+        assert product_equals(word, target) == equals(word.product(), target)
+
+    @settings(deadline=None, max_examples=60)
+    @given(words_and_targets())
+    def test_final_domains_partition_the_cube(self, case):
+        word, target = case
+        pieces = product_pieces(word, target)
+        assert partition_validate([_brick(dom) for dom, _ in pieces])
+        assert partition_validate([_brick(rng) for _, rng in pieces])
+
+    def test_true_verdicts_occur(self):
+        factors = tuple(random_element(RandomElementSpec(3, 4, 40 + k)) for k in range(4))
+        word = Word(3, factors)
+        assert product_equals(word, word.product())
+        assert product_equals(Word(3, (*factors, *map(inverse, reversed(factors)))), identity(3))
+        assert not product_equals(word, Word(3, factors[1:]).product())
+
+    def test_dimension_mismatch_is_unequal(self):
+        word = Word(2, (unit_baker(),))
+        assert not equals(word.product(), identity(3))
+        assert not product_equals(word, identity(3))
+        assert not product_equals(Word(3, ()), identity(2))
+
+    def test_empty_word_equals_only_the_identity(self):
+        for dim in (1, 2, 4):
+            assert product_equals(Word(dim, ()), identity(dim))
+        assert not product_equals(Word(2, ()), unit_baker())
+        assert not product_equals(Word(2, ()), random_element(RandomElementSpec(2, 3, 5)))
+
+    def test_presentation_does_not_matter(self):
+        b = unit_baker()
+        refined = then(then(b, b), inverse(b))
+        assert len(refined) > len(b)
+        assert product_equals(Word(2, (b,)), refined)
+        assert product_equals(Word(2, (refined, inverse(b))), identity(2))

@@ -15,6 +15,7 @@ from nvbaker import (
     inverse,
     is_transposition_form,
     make_baker,
+    product_equals,
     serialize_element,
     shrink,
     split_baker,
@@ -316,3 +317,24 @@ class TestVerifyWord:
     def test_rejects_wrong_target(self):
         word = factor_small_baker(SECONDARY)
         assert not verify_word(word, BakerSpec(brick("0/2^1,0/2^1"), 0, 1))
+
+
+def test_quarter_word_mutants_get_the_dense_verdict():
+    """The one-pass check agrees with the fold on the epsilon = 1/4 word
+    with a factor dropped or duplicated and with neighbours swapped."""
+    factors = factor_baker(UNIT2, Fraction(1, 4)).word.factors
+    mutants = {
+        "original": factors,
+        "dropped": factors[:200] + factors[201:],
+        "duplicated": factors[:321] + factors[320:],
+    }
+    for k in (0, 137):  # a commuting and a non-commuting neighbour pair
+        mutants[f"swap {k}"] = factors[:k] + (factors[k + 1], factors[k]) + factors[k + 2 :]
+    target = make_baker(UNIT2)
+    verdicts = {}
+    for name, mutant in mutants.items():
+        word = Word(2, mutant)
+        verdicts[name] = product_equals(word, target)
+        assert verdicts[name] == equals(word.product(), target), name
+    assert verdicts["original"] and verdicts["swap 0"]
+    assert not (verdicts["dropped"] or verdicts["duplicated"] or verdicts["swap 137"])

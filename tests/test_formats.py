@@ -70,6 +70,9 @@ LONG = "9" * 5000
         (parse_partition, f"NV 2\n0/2^1,{LONG}/2^1\n", 2, 7),
         (parse_tree_pair, f"(S{LONG} L0 L1) => (S0 L1 L0)\n", 1, 2),
         (parse_tree_pair, f"(S0 L0 L1) =>\n(S0 L1 L{LONG})\n", 2, 8),
+        # Indentation counts towards the column.
+        (parse_element, f"  NV {LONG}\n0/2^0 -> 0/2^0\n", 1, 6),
+        (parse_element, f"NV 1\n   0/2^0 -> {LONG}/2^3\n", 2, 12),
     ],
 )
 def test_oversized_numbers_fail_at_their_position(parse, text, line, column):
@@ -300,6 +303,20 @@ class TestTreePairs:
         # 3,000 splits of one axis: too fine for a cell, never a RecursionError.
         with pytest.raises(NvError):
             parse_tree_pair(f"{self._chain(3000, 1)} => L0")
+
+    def test_axis_past_the_dimension_limit_fails_at_its_split(self):
+        with pytest.raises(ParseError, match="dimension 65") as info:
+            parse_tree_pair("(S0 L0 L1) =>\n  (S0 L1 (S64 L0 L1))\n")
+        assert (info.value.line, info.value.column) == (2, 11)
+
+    def test_nesting_past_the_exponent_limit_fails_at_its_split(self):
+        with pytest.raises(ParseError, match="exponent limit") as info:
+            parse_tree_pair(f"{self._chain(65, 1)} => L0")
+        # The S token of the 65th split of axis 0.
+        assert (info.value.line, info.value.column) == (1, 2 + 4 * 64)
+        # 64 splits are allowed through to the label check.
+        with pytest.raises(ParseError, match="permutation"):
+            parse_tree_pair(f"{self._chain(64, 1)} => L0")
 
     def test_nesting_past_the_recursion_limit_reaches_the_label_check(self):
         depth = sys.getrecursionlimit() + 100
