@@ -21,13 +21,15 @@ moves points, with the pieces found by their range cells in an index.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, ElementError
+from .errors import DimensionMismatchError, ElementError, ExponentLimitError
 from .geometry import (
+    MAX_EXPONENT,
     Brick,
     Cell,
     Partition,
@@ -313,20 +315,140 @@ def product_equals(word: Word, target: Element) -> bool:
 
     One pass carries pieces of the identity through every factor and then
     through ``inverse(target)``, touching only the pieces that each moved
-    brick meets (see `nvbaker._onepass`). The product equals the target
+    brick meets (see `_product_pieces`). The product equals the target
     exactly when every final piece is an identity pair, whatever the
     presentation. Different dimensions compare unequal, as in `equals`.
     """
     if word.dimension != target.dimension:
         return False
-    # Imported on first use, so that commands which never verify do not
-    # load the pass at start-up (as numpy in `oracle`).
-    from ._onepass import product_pieces
-
-    pieces = product_pieces(word, target)
+    pieces = _product_pieces(word, target)
     # The domains are cut from the cube, so their measures, 2^-depth each,
     # add up to 1 unless a piece was lost or duplicated.
     depths = [sum(c.bit_length() - 1 for c in dom) for dom, _ in pieces]
     deepest = max(depths)
     whole = sum(1 << (deepest - t) for t in depths) == 1 << deepest
     return whole and all(dom == rng for dom, rng in pieces)
+
+
+_Piece = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _product_pieces(word: Word, target: Element) -> list[_Piece]:
+    """The pieces (domain, range) of word . inverse(target), as cell ints.
+
+    A brick is a tuple of one int per axis, ``(1 << e) | k`` for the cell
+    [k/2^e, (k+1)/2^e): halving appends a bit, a cell's ancestors are its
+    right shifts and a larger int is a finer cell. Starting from the cube
+    mapped to itself, each non-identity pair d -> r of a factor takes the
+    pieces whose range meets d out of the index. Each such range is cut on
+    every axis where it is coarser than d, one level at a time; the half
+    missing d returns to the index, since a later pair of the same factor
+    may move it. The part inside d is carried to r scale for scale and
+    rejoins the index once the whole factor has been applied.
+    """
+    index = _RangeIndex(word.dimension)
+    cube = (1,) * word.dimension
+    index.add(cube, cube)
+    for f in (*word.factors, inverse(target)):
+        moved = []
+        for p in f.pairs:
+            if p.is_identity:
+                continue
+            d, r = _cell_ints(p.domain), _cell_ints(p.range)
+            # A cell x inside d's cell y lands at x ^ ((y ^ z) << depth) in
+            # r's cell z, where depth is how much finer x is than y.
+            shift = [(y ^ z, y.bit_length()) for y, z in zip(d, r)]
+            for dom, rng in index.pop_meeting(d):
+                dom, rng = list(dom), list(rng)
+                for a, (x, y) in enumerate(zip(rng, d)):
+                    depth = y.bit_length() - x.bit_length()
+                    if depth > 0:
+                        u = dom[a]
+                        for j in reversed(range(depth)):
+                            miss = ((y >> j) & 1) ^ 1
+                            dom[a], rng[a] = (u << 1) | miss, (x << 1) | miss
+                            index.add(tuple(dom), tuple(rng))
+                            u, x = dom[a] ^ 1, rng[a] ^ 1
+                        dom[a], rng[a] = u, x
+                image = tuple(x ^ (t << (x.bit_length() - n)) for x, (t, n) in zip(rng, shift))
+                # Only a carried range gets finer than the word's own cells;
+                # refuse it past the limit, as `Cell` does on the fold.
+                finest = max(image).bit_length() - 1
+                if finest > MAX_EXPONENT:
+                    raise ExponentLimitError(
+                        f"cell exponent {finest} exceeds the limit {MAX_EXPONENT}"
+                    )
+                moved.append((tuple(dom), image))
+        for dom, rng in moved:
+            index.add(dom, rng)
+    return list(index.pieces.values())
+
+
+def _cell_ints(b: Brick) -> tuple[int, ...]:
+    return tuple((1 << c.exponent) | c.numerator for c in b.cells)
+
+
+# An index key packs a cell's left end, scaled by 2^MAX_EXPONENT, its
+# exponent (7 bits) and a piece id (the low _ID_BITS bits), so keys are
+# distinct and sort cells by left end, then exponent.
+_ID_BITS = 48
+_ID_MASK = (1 << _ID_BITS) - 1
+
+
+def _cell_key(c: int) -> int:
+    e = c.bit_length() - 1
+    return ((c << (MAX_EXPONENT - e)) << 7 | e) << _ID_BITS
+
+
+class _RangeIndex:
+    """Pieces by id, found through the cells of their ranges.
+
+    Two bricks meet exactly when their cells are nested on every axis, so
+    a query intersects, over the axes, the ids whose cell there is nested
+    with the query's. Per axis the index keeps the pieces' keys sorted, in
+    which order a cell's descendants form one run, and the ids by exact
+    cell, which serve the at most e ancestors of a cell of exponent e: a
+    dyadic range index in the spirit of Finkel and Bentley's quad trees,
+    searched one axis at a time.
+    """
+
+    def __init__(self, dimension: int) -> None:
+        self.pieces: dict[int, _Piece] = {}
+        self.axes: list[tuple[list[int], dict[int, set[int]]]] = [
+            ([], {}) for _ in range(dimension)
+        ]
+        self.next_id = 0
+
+    def add(self, dom: tuple[int, ...], rng: tuple[int, ...]) -> None:
+        i = self.next_id
+        self.next_id += 1
+        self.pieces[i] = (dom, rng)
+        for (keys, exact), c in zip(self.axes, rng):
+            bisect.insort(keys, _cell_key(c) | i)
+            if c in exact:
+                exact[c].add(i)
+            else:
+                exact[c] = {i}
+
+    def pop_meeting(self, d: tuple[int, ...]) -> list[_Piece]:
+        """Remove and return every piece whose range meets brick d."""
+        out = []
+        for i in set.intersection(*map(self._nested, self.axes, d)):
+            piece = self.pieces.pop(i)
+            for (keys, exact), c in zip(self.axes, piece[1]):
+                del keys[bisect.bisect_left(keys, _cell_key(c) | i)]
+                exact[c].discard(i)
+            out.append(piece)
+        return out
+
+    @staticmethod
+    def _nested(axis: tuple[list[int], dict[int, set[int]]], h: int) -> set[int]:
+        """Ids of the pieces whose cell on this axis is nested with cell h."""
+        keys, exact = axis
+        lo = bisect.bisect_left(keys, _cell_key(h))
+        # The first key past the cell's right end, whatever its exponent.
+        end = ((h + 1) << (MAX_EXPONENT + 1 - h.bit_length())) << (7 + _ID_BITS)
+        nested = {k & _ID_MASK for k in keys[lo : bisect.bisect_left(keys, end, lo)]}
+        for j in range(1, h.bit_length()):
+            nested.update(exact.get(h >> j, ()))
+        return nested

@@ -12,6 +12,7 @@ from nvbaker import (
     BakerSpec,
     Partition,
     TranspositionSpec,
+    Word,
     equals,
     factor_baker,
     identity,
@@ -316,6 +317,18 @@ class TestVerifyCommand:
         assert code == 1
         assert out == "mismatch\n"
 
+    def test_word_past_the_exponent_limit_fails_closed(self, run, tmp_path):
+        # Each factor halves the piece at 0: 64 factors reach exponent 65.
+        shrink = parse_element("NV 1\n0/2^1 -> 0/2^2\n2/2^2 -> 1/2^2\n3/2^2 -> 1/2^1\n")
+        word, target = tmp_path / "w.nvw", tmp_path / "id1.nv"
+        word.write_text(serialize_word(Word(1, (shrink,) * 64)))
+        target.write_text(serialize_element(identity(1)))
+        code, out, err = run("verify", str(word), str(target))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestRenderCommand:
     def test_renders_svg(self, run, tmp_path, baker_file):
@@ -464,21 +477,13 @@ class TestUsageErrors:
         assert run("inverse", baker_file)[0] == 2
 
 
-def _assert_cli_import_leaves_unloaded(module: str) -> None:
+def test_cli_import_leaves_numpy_unloaded():
     import nvbaker
 
     src = str(Path(nvbaker.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     subprocess.run(
-        [sys.executable, "-c", f"import nvbaker.cli, sys; assert {module!r} not in sys.modules"],
+        [sys.executable, "-c", "import nvbaker.cli, sys; assert 'numpy' not in sys.modules"],
         env=env,
         check=True,
     )
-
-
-def test_cli_import_leaves_numpy_unloaded():
-    _assert_cli_import_leaves_unloaded("numpy")
-
-
-def test_cli_import_leaves_the_verification_pass_unloaded():
-    _assert_cli_import_leaves_unloaded("nvbaker._onepass")

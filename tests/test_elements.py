@@ -10,9 +10,11 @@ from nvbaker import (
     BakerSpec,
     Brick,
     Cell,
+    MAX_EXPONENT,
     DimensionMismatchError,
     Element,
     ElementError,
+    ExponentLimitError,
     Pair,
     RandomElementSpec,
     Word,
@@ -31,7 +33,7 @@ from nvbaker import (
     then,
     unit_brick,
 )
-from nvbaker._onepass import product_pieces
+from nvbaker.elements import _product_pieces
 
 from conftest import brick, element_image, grid_points
 
@@ -371,7 +373,7 @@ class TestProductEquals:
     @given(words_and_targets())
     def test_final_domains_partition_the_cube(self, case):
         word, target = case
-        pieces = product_pieces(word, target)
+        pieces = _product_pieces(word, target)
         assert partition_validate([_brick(dom) for dom, _ in pieces])
         assert partition_validate([_brick(rng) for _, rng in pieces])
 
@@ -393,6 +395,23 @@ class TestProductEquals:
             assert product_equals(Word(dim, ()), identity(dim))
         assert not product_equals(Word(2, ()), unit_baker())
         assert not product_equals(Word(2, ()), random_element(RandomElementSpec(2, 3, 5)))
+
+    def test_exponent_limit_fails_as_the_fold_does(self):
+        # Each factor halves the piece at 0, so n factors reach exponent n + 1.
+        shrink = Element.from_pairs(
+            [
+                Pair(brick("0/2^1"), brick("0/2^2")),
+                Pair(brick("2/2^2"), brick("1/2^2")),
+                Pair(brick("3/2^2"), brick("1/2^1")),
+            ]
+        )
+        deepest = Word(1, (shrink,) * (MAX_EXPONENT - 1))
+        assert product_equals(deepest, deepest.product())
+        word = Word(1, (shrink,) * MAX_EXPONENT)
+        with pytest.raises(ExponentLimitError):
+            equals(word.product(), identity(1))
+        with pytest.raises(ExponentLimitError):
+            product_equals(word, identity(1))
 
     def test_presentation_does_not_matter(self):
         b = unit_baker()
