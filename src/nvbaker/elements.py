@@ -16,12 +16,12 @@ source cell [k0/2^e0, ...) lands in the destination cell [k1/2^e1, ...) at
 whole partition. `product_equals` checks a word against a target without
 building the product: it carries pieces of the identity through the word,
 and then through the target's inverse, applying each factor only where it
-moves points, with the pieces found by their range cells in an index.
+moves points, with the pieces found by their range cells in the same
+`geometry._RangeIndex` that serves `brick_meets`.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +34,8 @@ from .geometry import (
     Cell,
     Partition,
     brick_intersect,  # noqa: F401 (kept importable as nvbaker.elements.brick_intersect)
+    _cell_ints,
+    _RangeIndex,
     brick_meets,
     partition_validate,
     unit_brick,
@@ -173,43 +175,30 @@ def apply_point(f: Element, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
     raise ElementError(f"no domain brick contains {pt}")
 
 
-def _refined_images(f: Element, g: Element) -> Iterable[tuple[Brick, Brick, Brick]]:
-    """Common domain refinement with both images: (piece, f-image, g-image).
-
-    Pieces come in (f-pair, g-pair) order, which fixes the witness that
-    `equals_witness` reports.
-    """
-    meets = brick_meets([p.domain for p in f.pairs], [p.domain for p in g.pairs])
-    meets.sort(key=lambda m: (m[0], m[1]))
-    for i, j, meet in meets:
-        pf, pg = f.pairs[i], g.pairs[j]
-        yield (
-            meet,
-            map_through(meet, pf.domain, pf.range),
-            map_through(meet, pg.domain, pg.range),
-        )
-
-
 def equals(f: Element, g: Element) -> bool:
     """Whether two elements are the same map (presentations may differ)."""
-    if f.dimension != g.dimension:
-        return False
-    return all(fi == gi for _, fi, gi in _refined_images(f, g))
+    return f.dimension == g.dimension and equals_witness(f, g) is None
 
 
 def equals_witness(f: Element, g: Element) -> tuple[Fraction, ...] | None:
     """None when equal, else a point where the two maps disagree.
 
-    On a common refinement piece both restrictions are canonical affine
-    maps, so they differ exactly when their image bricks differ: at the
-    piece's corner when the image corners differ, otherwise (equal corners,
-    some axis scale differs) at the piece's midpoint.
+    The domains' common refinement is walked in (f-pair, g-pair) order,
+    which fixes the witness. On a refinement piece both restrictions are
+    canonical affine maps, so they differ exactly when their image bricks
+    differ: at the piece's corner when the image corners differ, otherwise
+    (equal corners, some axis scale differs) at the piece's midpoint.
     """
     if f.dimension != g.dimension:
         raise DimensionMismatchError(
             f"cannot compare elements of dimensions {f.dimension} and {g.dimension}"
         )
-    for piece, fi, gi in _refined_images(f, g):
+    meets = brick_meets([p.domain for p in f.pairs], [p.domain for p in g.pairs])
+    meets.sort(key=lambda m: (m[0], m[1]))
+    for i, j, piece in meets:
+        pf, pg = f.pairs[i], g.pairs[j]
+        fi = map_through(piece, pf.domain, pf.range)
+        gi = map_through(piece, pg.domain, pg.range)
         if fi == gi:
             continue
         if any(cf.lo != cg.lo for cf, cg in zip(fi.cells, gi.cells)):
@@ -336,9 +325,8 @@ _Piece = tuple[tuple[int, ...], tuple[int, ...]]
 def _product_pieces(word: Word, target: Element) -> list[_Piece]:
     """The pieces (domain, range) of word . inverse(target), as cell ints.
 
-    A brick is a tuple of one int per axis, ``(1 << e) | k`` for the cell
-    [k/2^e, (k+1)/2^e): halving appends a bit, a cell's ancestors are its
-    right shifts and a larger int is a finer cell. Starting from the cube
+    Bricks are in the one-int-per-cell form of `geometry._cell_ints`, which
+    the range index shares with `brick_meets`. Starting from the cube
     mapped to itself, each non-identity pair d -> r of a factor takes the
     pieces whose range meets d out of the index. Each such range is cut on
     every axis where it is coarser than d, one level at a time; the half
@@ -346,9 +334,9 @@ def _product_pieces(word: Word, target: Element) -> list[_Piece]:
     may move it. The part inside d is carried to r scale for scale and
     rejoins the index once the whole factor has been applied.
     """
-    index = _RangeIndex(word.dimension)
     cube = (1,) * word.dimension
-    index.add(cube, cube)
+    index = _RangeIndex([cube])  # indexes the ranges; `domains` holds the rest
+    domains = {0: cube}
     for f in (*word.factors, inverse(target)):
         moved = []
         for p in f.pairs:
@@ -358,8 +346,8 @@ def _product_pieces(word: Word, target: Element) -> list[_Piece]:
             # A cell x inside d's cell y lands at x ^ ((y ^ z) << depth) in
             # r's cell z, where depth is how much finer x is than y.
             shift = [(y ^ z, y.bit_length()) for y, z in zip(d, r)]
-            for dom, rng in index.pop_meeting(d):
-                dom, rng = list(dom), list(rng)
+            for i, rng in index.pop_meeting(d):
+                dom, rng = list(domains.pop(i)), list(rng)
                 for a, (x, y) in enumerate(zip(rng, d)):
                     depth = y.bit_length() - x.bit_length()
                     if depth > 0:
@@ -367,7 +355,7 @@ def _product_pieces(word: Word, target: Element) -> list[_Piece]:
                         for j in reversed(range(depth)):
                             miss = ((y >> j) & 1) ^ 1
                             dom[a], rng[a] = (u << 1) | miss, (x << 1) | miss
-                            index.add(tuple(dom), tuple(rng))
+                            domains[index.add(tuple(rng))] = tuple(dom)
                             u, x = dom[a] ^ 1, rng[a] ^ 1
                         dom[a], rng[a] = u, x
                 image = tuple(x ^ (t << (x.bit_length() - n)) for x, (t, n) in zip(rng, shift))
@@ -380,75 +368,5 @@ def _product_pieces(word: Word, target: Element) -> list[_Piece]:
                     )
                 moved.append((tuple(dom), image))
         for dom, rng in moved:
-            index.add(dom, rng)
-    return list(index.pieces.values())
-
-
-def _cell_ints(b: Brick) -> tuple[int, ...]:
-    return tuple((1 << c.exponent) | c.numerator for c in b.cells)
-
-
-# An index key packs a cell's left end, scaled by 2^MAX_EXPONENT, its
-# exponent (7 bits) and a piece id (the low _ID_BITS bits), so keys are
-# distinct and sort cells by left end, then exponent.
-_ID_BITS = 48
-_ID_MASK = (1 << _ID_BITS) - 1
-
-
-def _cell_key(c: int) -> int:
-    e = c.bit_length() - 1
-    return ((c << (MAX_EXPONENT - e)) << 7 | e) << _ID_BITS
-
-
-class _RangeIndex:
-    """Pieces by id, found through the cells of their ranges.
-
-    Two bricks meet exactly when their cells are nested on every axis, so
-    a query intersects, over the axes, the ids whose cell there is nested
-    with the query's. Per axis the index keeps the pieces' keys sorted, in
-    which order a cell's descendants form one run, and the ids by exact
-    cell, which serve the at most e ancestors of a cell of exponent e: a
-    dyadic range index in the spirit of Finkel and Bentley's quad trees,
-    searched one axis at a time.
-    """
-
-    def __init__(self, dimension: int) -> None:
-        self.pieces: dict[int, _Piece] = {}
-        self.axes: list[tuple[list[int], dict[int, set[int]]]] = [
-            ([], {}) for _ in range(dimension)
-        ]
-        self.next_id = 0
-
-    def add(self, dom: tuple[int, ...], rng: tuple[int, ...]) -> None:
-        i = self.next_id
-        self.next_id += 1
-        self.pieces[i] = (dom, rng)
-        for (keys, exact), c in zip(self.axes, rng):
-            bisect.insort(keys, _cell_key(c) | i)
-            if c in exact:
-                exact[c].add(i)
-            else:
-                exact[c] = {i}
-
-    def pop_meeting(self, d: tuple[int, ...]) -> list[_Piece]:
-        """Remove and return every piece whose range meets brick d."""
-        out = []
-        for i in set.intersection(*map(self._nested, self.axes, d)):
-            piece = self.pieces.pop(i)
-            for (keys, exact), c in zip(self.axes, piece[1]):
-                del keys[bisect.bisect_left(keys, _cell_key(c) | i)]
-                exact[c].discard(i)
-            out.append(piece)
-        return out
-
-    @staticmethod
-    def _nested(axis: tuple[list[int], dict[int, set[int]]], h: int) -> set[int]:
-        """Ids of the pieces whose cell on this axis is nested with cell h."""
-        keys, exact = axis
-        lo = bisect.bisect_left(keys, _cell_key(h))
-        # The first key past the cell's right end, whatever its exponent.
-        end = ((h + 1) << (MAX_EXPONENT + 1 - h.bit_length())) << (7 + _ID_BITS)
-        nested = {k & _ID_MASK for k in keys[lo : bisect.bisect_left(keys, end, lo)]}
-        for j in range(1, h.bit_length()):
-            nested.update(exact.get(h >> j, ()))
-        return nested
+            domains[index.add(rng)] = dom
+    return [(domains[i], rng) for i, rng in index.bricks.items()]

@@ -354,11 +354,8 @@ def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
             "semantic error: range leaf labels must be a permutation of the domain labels"
         )
     by_label = {label: brick for label, brick in ran_leaves}
-    pairs = [Pair(brick, by_label[label]) for label, brick in dom_leaves]
-    try:
-        return Element.from_pairs(pairs)
-    except (ElementError, PartitionError) as exc:
-        raise ParseError(f"semantic error: {exc}") from exc
+    # Split-tree leaves partition the cube, so no check is needed.
+    return Element(dimension, tuple(Pair(b, by_label[label]) for label, b in dom_leaves))
 
 
 def load_element(text: str, dimension: int | None = None) -> Element:

@@ -10,15 +10,18 @@ membership); every decision procedure runs on integers, and so do the sort
 keys: a cell sorts by its left endpoint scaled by 2^MAX_EXPONENT, an exact
 integer, then by its exponent.
 
-`brick_meets` and `tile_complement` descend from the unit cube like a k-d
-tree (Bentley 1975), on an explicit stack of integer regions. They share
-the column and halving helpers, not the split rule: `tile_complement` halves
-along the lowest axis where a live hole is finer, which pins its tiles.
+Inside, a cell is also one int, ``(1 << e) | k``. One `_RangeIndex` over
+such bricks answers every "which bricks meet this one" question:
+`brick_meets` (composition, equality, refinement), the overlap check of
+`partition_validate` and `tile_complement`, and the one-pass verifier in
+`elements`. `tile_complement` then descends from the unit cube on an
+explicit stack of integer regions, halving along the lowest axis where a
+live hole is finer, which pins its tiles.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -236,111 +239,129 @@ def brick_meets(
 
     The lists may be any bricks of one dimension: partitions of any shape,
     or lists that overlap themselves or repeat a brick. The order of the
-    result is unspecified. The cost follows the number of meets found, not
-    len(xs) * len(ys).
-
-    The method is a two-sided k-d descent (Bentley 1975) from the unit cube
-    that relies on one invariant: on each axis two dyadic cells are nested
-    or disjoint. A region keeps the bricks of each list that meet it. When
-    the region is halved along an axis, a brick finer than the region on
-    that axis lies in exactly one half (its next bit says which), and a
-    brick no finer lies across both. When no live brick is finer than the
-    region on any axis, every live brick contains the region, so every
-    live pair meets there. Such leaf regions are disjoint and a meet may
-    span several of them, so a pair is reported only at the leaf holding
-    the lowest corner of its meet. Each candidate is confirmed, and its
-    meet built, by `brick_intersect`.
+    result is unspecified. The bricks of xs go into a `_RangeIndex`, and
+    each brick of ys asks it for the ids of the bricks it meets, so every
+    meet is built once, by `brick_intersect`, and no failed candidate is.
+    A query gathers ids axis by axis, and ids nested on one axis may miss
+    on another, so the cost is not bounded by the number of meets: the
+    self-join of a chain of n nested splits over d axes costs about n^2 * d.
     """
     if not xs or not ys:
         return []
     dim = xs[0].dimension
-    bricks = [*xs, *ys]
-    for b in bricks:
+    for b in (*xs, *ys):
         if b.dimension != dim:
             raise DimensionMismatchError(f"bricks of dimensions {dim} and {b.dimension}")
-    nx = len(xs)  # bricks are numbered xs first, then ys
-    exps, nums = _columns(bricks, dim)
-    out: list[tuple[int, int, Brick]] = []
-    # A region is its cell exponents and numerators by axis, with the live
-    # bricks of each list.
-    root = (0,) * dim
-    stack = [(root, root, list(range(nx)), list(range(nx, len(bricks))))]
-    while stack:
-        r_exps, r_nums, live_x, live_y = stack.pop()
-        axis = _split_axis(exps, r_exps, itertools.chain(live_x, live_y))
-        if axis is None:
-            # On each axis the meet's lowest corner is the region's exactly
-            # when the meet's cell there (the finer of the two) is at least
-            # as fine as the coarsest cell sharing the region's left end,
-            # whose exponent drops the trailing zero bits of the numerator.
-            corner = [
-                e - (n & -n).bit_length() + 1 if n else 0 for e, n in zip(r_exps, r_nums)
-            ]
-            for i in live_x:
-                for j in live_y:
-                    if all(max(ea[i], ea[j]) >= c for ea, c in zip(exps, corner)):
-                        out.append((i, j - nx, brick_intersect(bricks[i], bricks[j])))
-            continue
-        e = r_exps[axis]
-        lo_x, hi_x = _halve(live_x, exps[axis], nums[axis], e)
-        lo_y, hi_y = _halve(live_y, exps[axis], nums[axis], e)
-        lo, hi = _halve_region(r_exps, r_nums, axis)
-        for half, half_x, half_y in ((hi, hi_x, hi_y), (lo, lo_x, lo_y)):
-            if half_x and half_y:
-                stack.append((*half, half_x, half_y))
-    return out
+    index = _RangeIndex([_cell_ints(x) for x in xs])
+    return [
+        (i, j, brick_intersect(xs[i], y))
+        for j, y in enumerate(ys)
+        for i in index.meeting(_cell_ints(y))
+    ]
 
 
-def _columns(bricks: Sequence[Brick], dim: int) -> tuple[list, list]:
-    """exps[a][k] and nums[a][k] are the integers of brick k's cell on axis a."""
-    exps = [[b.cells[a].exponent for b in bricks] for a in range(dim)]
-    return exps, [[b.cells[a].numerator for b in bricks] for a in range(dim)]
-
-
-def _halve_region(r_exps: tuple, r_nums: tuple, axis: int) -> tuple[tuple, tuple]:
-    """The (lower, upper) halves of a region along an axis, each (exps, nums)."""
-    exps = r_exps[:axis] + (r_exps[axis] + 1,) + r_exps[axis + 1 :]
-    n, before, after = r_nums[axis] << 1, r_nums[:axis], r_nums[axis + 1 :]
-    return (exps, before + (n,) + after), (exps, before + (n | 1,) + after)
-
-
-def _split_axis(
-    exps: list[list[int]], r_exps: tuple[int, ...], live: Iterable[int]
-) -> int | None:
-    """An axis on which some live brick is finer than the region, if any."""
-    for k in live:
-        for a, e in enumerate(r_exps):
-            if exps[a][k] > e:
-                return a
-    return None
-
-
-def _halve(
-    live: list[int], exps: list[int], nums: list[int], e: int
-) -> tuple[list[int], list[int]]:
-    """Send live bricks to the halves of a region cell of exponent e they meet.
-
-    `exps` and `nums` are the bricks' cells on the axis being halved.
-    """
-    lo: list[int] = []
-    hi: list[int] = []
-    for k in live:
-        finer = exps[k] - e
-        if finer <= 0:
-            lo.append(k)
-            hi.append(k)
-        elif (nums[k] >> (finer - 1)) & 1:
-            hi.append(k)
-        else:
-            lo.append(k)
-    return lo, hi
-
-
-def _overlaps(bricks: Sequence[Brick]) -> list[tuple[int, int]]:
-    """Index pairs i < j of overlapping bricks, in ascending order."""
-    if len(bricks) < 2:
+def _overlaps(cells: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """Index pairs i < j of overlapping cell-int bricks, in ascending order."""
+    if len(cells) < 2:
         return []
-    return sorted((i, j) for i, j, _ in brick_meets(bricks, bricks) if i < j)
+    index = _RangeIndex(cells)
+    return sorted((i, j) for j, c in enumerate(cells) for i in index.meeting(c) if i < j)
+
+
+def _cell_ints(b: Brick) -> tuple[int, ...]:
+    """A brick as one int per axis, ``(1 << e) | k`` for the cell [k/2^e, ...).
+
+    Halving a cell appends a bit, its ancestors are its right shifts, and
+    a longer int is a finer cell.
+    """
+    return tuple((1 << c.exponent) | c.numerator for c in b.cells)
+
+
+# An index key packs a cell's left end, scaled by 2^MAX_EXPONENT, its
+# exponent (7 bits) and a brick id (the low _ID_BITS bits), so keys are
+# distinct and sort cells by left end, then exponent.
+_ID_BITS = 48
+_ID_MASK = (1 << _ID_BITS) - 1
+
+
+def _cell_key(c: int) -> int:
+    e = c.bit_length() - 1
+    return ((c << (MAX_EXPONENT - e)) << 7 | e) << _ID_BITS
+
+
+class _RangeIndex:
+    """Bricks in cell-int form, by id, found through their cells.
+
+    Two bricks meet exactly when their cells are nested on every axis, so
+    a query intersects, over the axes, the ids whose cell there is nested
+    with the query's, and stops at the first empty set. Per axis the index
+    keeps the bricks' keys sorted, in which order a cell's descendants form
+    one run; the ids by exact cell, which serve a cell's ancestors; and the
+    cell lengths it has held, so a query scans for descendants only when a
+    finer cell exists and looks up ancestors only at lengths present. A
+    dyadic range index in the spirit of Finkel and Bentley's quad trees,
+    searched one axis at a time.
+    """
+
+    def __init__(self, bricks: Sequence[tuple[int, ...]]) -> None:
+        self.bricks = dict(enumerate(bricks))
+        self.next_id = len(bricks)
+        self.axes: list[tuple[list[int], dict[int, set[int]], set[int]]] = []
+        for column in zip(*bricks):
+            exact: dict[int, set[int]] = {}
+            for i, c in enumerate(column):
+                exact.setdefault(c, set()).add(i)
+            keys = sorted(_cell_key(c) | i for i, c in enumerate(column))
+            self.axes.append((keys, exact, {c.bit_length() for c in exact}))
+
+    def add(self, b: tuple[int, ...]) -> int:
+        """Index one more brick and return its id."""
+        i = self.next_id
+        self.next_id += 1
+        self.bricks[i] = b
+        for (keys, exact, lengths), c in zip(self.axes, b):
+            bisect.insort(keys, _cell_key(c) | i)
+            exact.setdefault(c, set()).add(i)
+            lengths.add(c.bit_length())
+        return i
+
+    def meeting(self, d: tuple[int, ...]) -> set[int]:
+        """The ids of the indexed bricks that meet brick d."""
+        axes = iter(zip(self.axes, d))
+        found = self._nested(*next(axes))
+        for axis, h in axes:
+            if not found:
+                break
+            found &= self._nested(axis, h)
+        return found
+
+    def pop_meeting(self, d: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """Remove every brick that meets d; return them with their ids."""
+        out = []
+        for i in self.meeting(d):
+            b = self.bricks.pop(i)
+            for (keys, exact, _), c in zip(self.axes, b):
+                del keys[bisect.bisect_left(keys, _cell_key(c) | i)]
+                exact[c].discard(i)
+            out.append((i, b))
+        return out
+
+    @staticmethod
+    def _nested(axis: tuple[list[int], dict[int, set[int]], set[int]], h: int) -> set[int]:
+        """Ids of the bricks whose cell on this axis is nested with cell h."""
+        keys, exact, lengths = axis
+        n = h.bit_length()
+        if max(lengths) > n:
+            lo = bisect.bisect_left(keys, _cell_key(h))
+            # The first key past the cell's right end, whatever its exponent.
+            end = ((h + 1) << (MAX_EXPONENT + 1 - n)) << (7 + _ID_BITS)
+            nested = {k & _ID_MASK for k in keys[lo : bisect.bisect_left(keys, end, lo)]}
+        else:
+            nested = set(exact.get(h, ()))
+        for m in lengths:
+            if m < n:
+                nested.update(exact.get(h >> (n - m), ()))
+        return nested
 
 
 @dataclass(frozen=True)
@@ -396,7 +417,7 @@ def partition_validate(bricks: Iterable[Brick]) -> ValidationReport:
         if b.dimension != dim:
             problems.append(f"mixed dimensions: {dim} and {b.dimension}")
             return ValidationReport(False, tuple(problems))
-    for i, j in _overlaps(items):
+    for i, j in _overlaps([_cell_ints(b) for b in items]):
         problems.append(f"bricks overlap: {items[i]} and {items[j]}")
     # A brick's measure is 2^-depth, its depth the sum of its exponents, so
     # the total is an exact integer count of cells at the deepest depth.
@@ -460,25 +481,32 @@ def tile_complement(dimension: int, holes: Sequence[Brick]) -> list[Brick]:
             raise DimensionMismatchError(
                 f"hole of dimension {b.dimension} in a {dimension}-cube"
             )
-    overlaps = _overlaps(holes)
+    cells = [_cell_ints(b) for b in holes]
+    overlaps = _overlaps(cells)
     if overlaps:
         i, j = overlaps[0]
         raise GeometryError(f"holes overlap: {holes[i]} and {holes[j]}")
-    exps, nums = _columns(holes, dimension)
     out: list[Brick] = []
-    root = (0,) * dimension
-    stack = [(root, root, list(range(len(holes))))]
+    stack = [((1,) * dimension, cells)]
     while stack:
-        r_exps, r_nums, live = stack.pop()
+        region, live = stack.pop()
         if not live:
-            out.append(Brick(tuple(map(Cell, r_exps, r_nums))))
+            tile = (Cell(c.bit_length() - 1, c ^ (1 << c.bit_length() - 1)) for c in region)
+            out.append(Brick(tuple(tile)))
             continue
-        for axis, e in enumerate(r_exps):
-            if any(exps[axis][k] > e for k in live):
+        for axis, r in enumerate(region):
+            n = r.bit_length()
+            if any(h[axis].bit_length() > n for h in live):
                 break
         else:  # the region lies inside its one live hole
             continue
-        lo_live, hi_live = _halve(live, exps[axis], nums[axis], e)
-        lo, hi = _halve_region(r_exps, r_nums, axis)
-        stack += ((*hi, hi_live), (*lo, lo_live))
+        # A hole finer than the region on the axis lies in the half its
+        # next bit names; any other live hole lies across both halves. The
+        # upper half is pushed first, so the lower half is tiled first.
+        for c in ((r << 1) | 1, r << 1):
+            half = [
+                h for h in live
+                if h[axis].bit_length() <= n or h[axis] >> (h[axis].bit_length() - n - 1) == c
+            ]
+            stack.append((region[:axis] + (c,) + region[axis + 1 :], half))
     return out

@@ -198,6 +198,6 @@ def random_element(spec: RandomElementSpec) -> Element:
         lo, hi = ranges.pop(k).split(axis)
         ranges.extend((lo, hi))
 
+    # Both sides come from halving the cube, so they partition it.
     rng.shuffle(ranges)
-    pairs = tuple(Pair(d, r) for d, r in zip(domain, ranges))
-    return Element.from_pairs(pairs)
+    return Element(spec.dimension, tuple(Pair(d, r) for d, r in zip(domain, ranges)))

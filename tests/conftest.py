@@ -9,6 +9,7 @@ check the library against an independent route.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from nvbaker import Brick, Cell, Element
@@ -65,6 +66,45 @@ def all_cells(max_exponent: int) -> list[Cell]:
     return [
         Cell(e, k) for e in range(max_exponent + 1) for k in range(1 << e)
     ]
+
+
+def chain_sides(splits: int, side: str, seed: int) -> list[bool]:
+    """Which half each split of a chain keeps as a leaf: True for the upper.
+
+    `side` is "lower", "upper", or "mixed" for a seeded coin per split.
+    """
+    if side == "mixed":
+        rng = random.Random(seed)
+        return [rng.random() < 0.5 for _ in range(splits)]
+    return [side == "upper"] * splits
+
+
+def chain_axis(split: int, dimension: int) -> int:
+    """Chains split their axes in descending order, over and over."""
+    return dimension - 1 - split % dimension
+
+
+def chain(splits: int, dimension: int, side: str, seed: int) -> list[Brick]:
+    """The leaves of one chain of nested splits, in seeded shuffled order.
+
+    Each split halves the current brick along the next axis of `chain_axis`,
+    keeps one half as a leaf (see `chain_sides`) and splits the other on,
+    so the leaves partition the cube and nest ever deeper into one corner.
+    A k-d descent that halves the lowest axis first copies every leaf that
+    is coarse there into both halves, level after level, on this shape.
+    """
+    cells = [Cell(0, 0)] * dimension
+    leaves = []
+    for k, upper in enumerate(chain_sides(splits, side, seed)):
+        axis = chain_axis(k, dimension)
+        e, n = cells[axis].exponent + 1, 2 * cells[axis].numerator
+        lower, higher = Cell(e, n), Cell(e, n + 1)
+        leaf, cells = list(cells), list(cells)
+        leaf[axis], cells[axis] = (higher, lower) if upper else (lower, higher)
+        leaves.append(Brick(tuple(leaf)))
+    leaves.append(Brick(tuple(cells)))
+    random.Random(seed).shuffle(leaves)
+    return leaves
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from nvbaker import (
 )
 from nvbaker.cli import main
 
-from conftest import brick
+from conftest import brick, chain, chain_axis
 
 BAKER = make_baker(BakerSpec(unit_brick(2), 0, 1))
 BAKER_TEXT = "NV 2\n0/2^1,0/2^0 -> 0/2^0,0/2^1\n1/2^1,0/2^0 -> 0/2^0,1/2^1\n"
@@ -181,6 +182,37 @@ class TestEqualCommand:
         code, out, _ = run("equal", baker_file, identity_file, "--witness")
         assert code == 1
         assert out == "not equal\nwitness: (1/4, 1/2)\n"
+
+    @pytest.mark.parametrize("name", ["chain.nv", "chain.tree"])
+    def test_equal_on_deep_chains(self, run, tmp_path, name):
+        # 151 pairs over 20 axes, or 101 tree leaves over 10 axes.
+        path = tmp_path / name
+        if name.endswith(".nv"):
+            path.write_text(chain_element_text(150, 20, 1))
+        else:
+            path.write_text(chain_tree_text(100, 10, 1))
+        code, out, _ = run("equal", str(path), str(path))
+        assert (code, out) == (0, "equal\n")
+
+
+def chain_element_text(splits: int, dimension: int, seed: int) -> str:
+    """Two mixed chains paired leaf by leaf, one pair a line, shuffled."""
+    def text(b):
+        return ",".join(f"{c.numerator}/2^{c.exponent}" for c in b.cells)
+
+    domains = chain(splits, dimension, "mixed", seed)
+    pairs = zip(domains, chain(splits, dimension, "mixed", seed + 1))
+    return f"NV {dimension}\n" + "".join(f"{text(d)} -> {text(r)}\n" for d, r in pairs)
+
+
+def chain_tree_text(splits: int, dimension: int, seed: int) -> str:
+    """Two chain trees keeping each upper half as a leaf, labels shuffled."""
+    tree = "L{}"
+    for k in reversed(range(splits)):
+        tree = f"(S{chain_axis(k, dimension)} {tree} L{{}})"
+    labels = list(range(splits + 1))
+    random.Random(seed).shuffle(labels)
+    return tree.format(*range(splits + 1)) + "\n=> " + tree.format(*labels) + "\n"
 
 
 class TestTransposeCommand:

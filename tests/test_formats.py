@@ -2,6 +2,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvbaker import (
     BakerSpec,
@@ -23,6 +25,7 @@ from nvbaker import (
     parse_partition,
     parse_tree_pair,
     parse_word,
+    partition_validate,
     random_element,
     RandomElementSpec,
     serialize_element,
@@ -220,6 +223,30 @@ class TestWordFiles:
         )
         word = parse_word(text)
         assert len(word.factors) == 2
+
+
+@st.composite
+def split_trees(draw, leaves, dimension):
+    """Text of a random split tree with `leaves` leaves, each written L{}."""
+    if leaves == 1:
+        return "L{}"
+    lower = draw(st.integers(1, leaves - 1))
+    axis = draw(st.integers(0, dimension - 1))
+    halves = draw(split_trees(lower, dimension)), draw(split_trees(leaves - lower, dimension))
+    return f"(S{axis} {halves[0]} {halves[1]})"
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.integers(1, 24), st.data())
+def test_tree_pairs_partition_the_cube(dimension, leaves, data):
+    # parse_tree_pair builds its element unchecked, trusting the trees.
+    labels = data.draw(st.permutations(range(leaves)))
+    domain = data.draw(split_trees(leaves, dimension)).format(*range(leaves))
+    range_ = data.draw(split_trees(leaves, dimension)).format(*labels)
+    e = parse_tree_pair(f"{domain} => {range_}", dimension)
+    assert len(e) == leaves
+    assert partition_validate([p.domain for p in e.pairs])
+    assert partition_validate([p.range for p in e.pairs])
 
 
 class TestTreePairs:

@@ -17,8 +17,9 @@ from nvbaker import (
     random_element,
     tile_complement,
 )
+from nvbaker import geometry
 
-from conftest import brick
+from conftest import brick, chain
 
 MAX_DEPTH = 5
 
@@ -178,9 +179,9 @@ def test_complement_chains(data):
 
 
 def test_pair_coarse_on_split_axis_in_both_lists_reported_once():
-    # The descent halves along axis 0 for the thin first brick; the second
-    # brick of each list spans axis 0, so both lie across both halves and
-    # their meet spans them too.
+    # The first brick of xs is thin on axis 0; the second brick of each
+    # list spans axis 0, so their meet is found through ancestor lookups on
+    # that axis while the thin brick is found by the scan for descendants.
     xs = [brick("0/2^2,1/2^1"), brick("0/2^0,0/2^1")]
     ys = [brick("0/2^0,0/2^0"), brick("0/2^0,0/2^1")]
     got = sorted(brick_meets(xs, ys), key=lambda m: m[:2])
@@ -194,3 +195,49 @@ def test_pair_coarse_on_split_axis_in_both_lists_reported_once():
 def test_empty_lists_have_no_meets():
     assert brick_meets([], [brick("0/2^0,0/2^0")]) == []
     assert brick_meets([brick("0/2^0,0/2^0")], []) == []
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 20), st.integers(0, 2**32), st.data())
+def test_shuffled_chains(dim, seed, data):
+    splits = data.draw(st.integers(1, min(80, 64 * dim)))  # cells stay within MAX_EXPONENT
+    sides = st.sampled_from(["lower", "upper", "mixed"])
+    leaves = chain(splits, dim, data.draw(sides), seed)
+    other = chain(splits, dim, data.draw(sides), seed + 1)
+    grid = data.draw(grids(dim))
+    assert partition_validate(leaves)
+    assert_same_meets(leaves, leaves)
+    for xs, ys in ((leaves, other), (leaves, grid)):
+        assert_same_meets(xs, ys)
+        assert_same_meets(ys, xs)
+
+
+def test_deep_chains_meet_only_themselves():
+    # 300 splits over 20 axes, for each choice of the half kept.
+    for side in ("lower", "upper", "mixed"):
+        leaves = chain(300, 20, side, 7)
+        assert partition_validate(leaves)
+        assert sorted((i, j) for i, j, _ in brick_meets(leaves, leaves)) == [
+            (i, i) for i in range(len(leaves))
+        ]
+
+
+def test_one_intersection_per_meet(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return brick_intersect(a, b)
+
+    monkeypatch.setattr(geometry, "brick_intersect", counted)
+    leaves = chain(60, 6, "mixed", 3)
+    grid = [brick(f"{i}/2^2,{j}/2^1" + ",0/2^0" * 4) for i in range(4) for j in range(2)]
+    for xs, ys in ((leaves, grid), (grid, leaves), (leaves, leaves), (pinwheel(), pinwheel())):
+        calls.clear()
+        meets = brick_meets(xs, ys)
+        assert len(calls) == len(meets)
+    calls.clear()
+    assert partition_validate(leaves)
+    assert partition_validate(grid)
+    assert tile_complement(6, leaves[:5])
+    assert calls == []

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvbaker import (
     BakerSpec,
@@ -170,6 +172,14 @@ class TestRandomElement:
             e = random_element(RandomElementSpec(2, 5, seed))
             assert partition_validate([p.domain for p in e.pairs]).ok
             assert partition_validate([p.range for p in e.pairs]).ok
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 2**64 - 1))
+    def test_partitions_for_any_spec(self, dimension, depth, seed):
+        # random_element builds its element unchecked, trusting the halving.
+        e = random_element(RandomElementSpec(dimension, depth, seed))
+        assert partition_validate([p.domain for p in e.pairs])
+        assert partition_validate([p.range for p in e.pairs])
 
     def test_depth_bound_respected(self):
         for seed in range(12):
