@@ -36,6 +36,7 @@ from .geometry import (
     brick_intersect,  # noqa: F401 (kept importable as nvbaker.elements.brick_intersect)
     _cell_ints,
     _RangeIndex,
+    _total_measure,
     brick_meets,
     partition_validate,
     unit_brick,
@@ -311,12 +312,10 @@ def product_equals(word: Word, target: Element) -> bool:
     if word.dimension != target.dimension:
         return False
     pieces = _product_pieces(word, target)
-    # The domains are cut from the cube, so their measures, 2^-depth each,
-    # add up to 1 unless a piece was lost or duplicated.
+    # The domains are cut from the cube, so their measures add up to 1
+    # unless a piece was lost or duplicated.
     depths = [sum(c.bit_length() - 1 for c in dom) for dom, _ in pieces]
-    deepest = max(depths)
-    whole = sum(1 << (deepest - t) for t in depths) == 1 << deepest
-    return whole and all(dom == rng for dom, rng in pieces)
+    return _total_measure(depths) == 1 and all(dom == rng for dom, rng in pieces)
 
 
 _Piece = tuple[tuple[int, ...], tuple[int, ...]]

@@ -10,18 +10,22 @@ membership); every decision procedure runs on integers, and so do the sort
 keys: a cell sorts by its left endpoint scaled by 2^MAX_EXPONENT, an exact
 integer, then by its exponent.
 
-Inside, a cell is also one int, ``(1 << e) | k``. One `_RangeIndex` over
-such bricks answers every "which bricks meet this one" question:
-`brick_meets` (composition, equality, refinement), the overlap check of
-`partition_validate` and `tile_complement`, and the one-pass verifier in
-`elements`. `tile_complement` then descends from the unit cube on an
-explicit stack of integer regions, halving along the lowest axis where a
-live hole is finer, which pins its tiles.
+Inside, a cell is also one int, ``(1 << e) | k``: the cell's binary
+string, so its ancestors are its prefixes and two cells meet exactly when
+one is a prefix of the other. One `_RangeIndex` over such bricks answers
+every "which bricks meet this one" question: `brick_meets` (composition,
+equality, refinement), the overlap check of `partition_validate` and
+`tile_complement`, and the one-pass verifier in `elements`. It files each
+brick, per axis, under its cell and every prefix of that cell, so a query
+is one lookup and a walk up the query cell's prefixes; the price is memory
+that grows with the bricks' total cell depth, not just their number.
+`tile_complement` descends from the unit cube on an explicit stack of
+integer regions, halving along the lowest axis where a live hole is finer,
+which pins its tiles.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -277,52 +281,43 @@ def _cell_ints(b: Brick) -> tuple[int, ...]:
     return tuple((1 << c.exponent) | c.numerator for c in b.cells)
 
 
-# An index key packs a cell's left end, scaled by 2^MAX_EXPONENT, its
-# exponent (7 bits) and a brick id (the low _ID_BITS bits), so keys are
-# distinct and sort cells by left end, then exponent.
-_ID_BITS = 48
-_ID_MASK = (1 << _ID_BITS) - 1
-
-
-def _cell_key(c: int) -> int:
-    e = c.bit_length() - 1
-    return ((c << (MAX_EXPONENT - e)) << 7 | e) << _ID_BITS
-
-
 class _RangeIndex:
     """Bricks in cell-int form, by id, found through their cells.
 
-    Two bricks meet exactly when their cells are nested on every axis, so
-    a query intersects, over the axes, the ids whose cell there is nested
-    with the query's, and stops at the first empty set. Per axis the index
-    keeps the bricks' keys sorted, in which order a cell's descendants form
-    one run; the ids by exact cell, which serve a cell's ancestors; and the
-    cell lengths it has held, so a query scans for descendants only when a
-    finer cell exists and looks up ancestors only at lengths present. A
-    dyadic range index in the spirit of Finkel and Bentley's quad trees,
-    searched one axis at a time.
+    Two bricks meet exactly when their cells are nested on every axis, and
+    two cell ints are nested exactly when one is a prefix, a right shift,
+    of the other. So per axis the index files each id twice: in `exact`
+    under its cell c, and in `under` under c and each prefix of c, from
+    ``c >> 1`` up to the unit cell 1. The ids nested with a cell h are then
+    ``under[h]``, the cells inside h, and ``exact`` at each proper prefix of
+    h, the cells around it. A query intersects these sets over the axes and
+    stops at the first empty one. A hashed dyadic trie in the spirit of
+    Finkel and Bentley's quad trees, searched one axis at a time.
+
+    Each id sits in one `under` set per level of each of its cells, at most
+    MAX_EXPONENT + 1 per axis, so the index holds O(bricks x total cell
+    depth) set entries. The bricks must be nonempty and of one dimension.
     """
 
     def __init__(self, bricks: Sequence[tuple[int, ...]]) -> None:
-        self.bricks = dict(enumerate(bricks))
-        self.next_id = len(bricks)
-        self.axes: list[tuple[list[int], dict[int, set[int]], set[int]]] = []
-        for column in zip(*bricks):
-            exact: dict[int, set[int]] = {}
-            for i, c in enumerate(column):
-                exact.setdefault(c, set()).add(i)
-            keys = sorted(_cell_key(c) | i for i, c in enumerate(column))
-            self.axes.append((keys, exact, {c.bit_length() for c in exact}))
+        self.bricks: dict[int, tuple[int, ...]] = {}
+        self.next_id = 0
+        self.axes: list[tuple[dict[int, set[int]], dict[int, set[int]]]] = [
+            ({}, {}) for _ in bricks[0]
+        ]
+        for b in bricks:
+            self.add(b)
 
     def add(self, b: tuple[int, ...]) -> int:
         """Index one more brick and return its id."""
         i = self.next_id
         self.next_id += 1
         self.bricks[i] = b
-        for (keys, exact, lengths), c in zip(self.axes, b):
-            bisect.insort(keys, _cell_key(c) | i)
+        for (exact, under), c in zip(self.axes, b):
             exact.setdefault(c, set()).add(i)
-            lengths.add(c.bit_length())
+            while c:
+                under.setdefault(c, set()).add(i)
+                c >>= 1
         return i
 
     def meeting(self, d: tuple[int, ...]) -> set[int]:
@@ -340,27 +335,21 @@ class _RangeIndex:
         out = []
         for i in self.meeting(d):
             b = self.bricks.pop(i)
-            for (keys, exact, _), c in zip(self.axes, b):
-                del keys[bisect.bisect_left(keys, _cell_key(c) | i)]
+            for (exact, under), c in zip(self.axes, b):
                 exact[c].discard(i)
+                while c:
+                    under[c].discard(i)
+                    c >>= 1
             out.append((i, b))
         return out
 
     @staticmethod
-    def _nested(axis: tuple[list[int], dict[int, set[int]], set[int]], h: int) -> set[int]:
+    def _nested(axis: tuple[dict[int, set[int]], dict[int, set[int]]], h: int) -> set[int]:
         """Ids of the bricks whose cell on this axis is nested with cell h."""
-        keys, exact, lengths = axis
-        n = h.bit_length()
-        if max(lengths) > n:
-            lo = bisect.bisect_left(keys, _cell_key(h))
-            # The first key past the cell's right end, whatever its exponent.
-            end = ((h + 1) << (MAX_EXPONENT + 1 - n)) << (7 + _ID_BITS)
-            nested = {k & _ID_MASK for k in keys[lo : bisect.bisect_left(keys, end, lo)]}
-        else:
-            nested = set(exact.get(h, ()))
-        for m in lengths:
-            if m < n:
-                nested.update(exact.get(h >> (n - m), ()))
+        exact, under = axis
+        nested = set(under.get(h, ()))
+        for k in range(1, h.bit_length()):
+            nested.update(exact.get(h >> k, ()))
         return nested
 
 
@@ -419,14 +408,20 @@ def partition_validate(bricks: Iterable[Brick]) -> ValidationReport:
             return ValidationReport(False, tuple(problems))
     for i, j in _overlaps([_cell_ints(b) for b in items]):
         problems.append(f"bricks overlap: {items[i]} and {items[j]}")
-    # A brick's measure is 2^-depth, its depth the sum of its exponents, so
-    # the total is an exact integer count of cells at the deepest depth.
-    depths = [sum(c.exponent for c in b.cells) for b in items]
-    deepest = max(depths)
-    total = sum(1 << (deepest - d) for d in depths)
-    if total != 1 << deepest:
-        problems.append(f"total measure is {Fraction(total, 1 << deepest)}, expected 1")
+    total = _total_measure([sum(c.exponent for c in b.cells) for b in items])
+    if total != 1:
+        problems.append(f"total measure is {total}, expected 1")
     return ValidationReport(not problems, tuple(problems))
+
+
+def _total_measure(depths: Sequence[int]) -> Fraction:
+    """The total measure of bricks of these depths, one per brick.
+
+    A brick's measure is 2^-depth, its depth the sum of its exponents, so
+    the sum is an exact integer count of cells at the deepest depth.
+    """
+    deepest = max(depths)
+    return Fraction(sum(1 << (deepest - d) for d in depths), 1 << deepest)
 
 
 def unit_brick(dimension: int) -> Brick:

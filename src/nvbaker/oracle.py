@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ResolutionError
 from .elements import Element, Pair
-from .geometry import Brick, Cell, unit_brick
+from .geometry import Brick, unit_brick
 
 # numpy is imported inside the grid functions, so importing the library (and
 # the CLI) does not pay for it.

@@ -82,6 +82,28 @@ def element_partitions(draw, dim):
     return [p.domain for p in e.pairs], [p.range for p in e.pairs]
 
 
+@st.composite
+def index_cells(draw):
+    """A cell of exponent at most 4, or one inside it at exponent 64."""
+    e = draw(st.integers(0, 4))
+    k = draw(st.integers(0, (1 << e) - 1))
+    if draw(st.booleans()):
+        return Cell(64, k << (64 - e) | draw(st.integers(0, (1 << (64 - e)) - 1)))
+    return Cell(e, k)
+
+
+@st.composite
+def index_runs(draw):
+    """Starting bricks and a run of (operation, brick) steps, one dimension."""
+    dim = draw(dims)
+    one_brick = st.lists(index_cells(), min_size=dim, max_size=dim).map(
+        lambda cs: Brick(tuple(cs))
+    )
+    start = draw(st.lists(one_brick, min_size=1, max_size=6))
+    ops = st.sampled_from(["add", "meeting", "pop_meeting"])
+    return start, draw(st.lists(st.tuples(ops, one_brick), max_size=12))
+
+
 def pinwheel():
     """Quadrants cut into strips that turn around the centre.
 
@@ -241,3 +263,32 @@ def test_one_intersection_per_meet(monkeypatch):
     assert partition_validate(grid)
     assert tile_complement(6, leaves[:5])
     assert calls == []
+
+
+@settings(deadline=None)
+@given(index_runs())
+def test_range_index_matches_a_live_model(run):
+    # The index against a dict of live bricks: adds, queries and pops in
+    # any order, cells as deep as the exponent limit (65-bit cell ints).
+    start, steps = run
+    index = geometry._RangeIndex([geometry._cell_ints(b) for b in start])
+    live = dict(enumerate(start))
+    probes = start + [b for _, b in steps]
+
+    def expected(d):
+        return {i for i, b in live.items() if brick_intersect(b, d) is not None}
+
+    for op, b in steps:
+        d = geometry._cell_ints(b)
+        if op == "add":
+            live[index.add(d)] = b
+        elif op == "meeting":
+            assert index.meeting(d) == expected(b)
+        else:
+            want = sorted((i, geometry._cell_ints(live[i])) for i in expected(b))
+            assert sorted(index.pop_meeting(d)) == want
+            for i, _ in want:
+                del live[i]
+        assert {i: geometry._cell_ints(x) for i, x in live.items()} == index.bricks
+        for probe in probes:
+            assert index.meeting(geometry._cell_ints(probe)) == expected(probe)
