@@ -50,8 +50,11 @@ _MAX_RANDOM_DEPTH = 12
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise NvError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _write_atomic(path: str, text: str) -> None:

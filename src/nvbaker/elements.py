@@ -6,11 +6,10 @@ affine map (axis-aligned, orientation-preserving, power-of-2 scale on each
 axis, no axis permutation). Composition refines partitions as needed, so
 elements form a group under `then` / `inverse`.
 
-Pair transport never leaves integer arithmetic: a subcell [k/2^e, ...) of a
-source cell [k0/2^e0, ...) lands in the destination cell [k1/2^e1, ...) at
-
-    e' = e - e0 + e1
-    k' = k1 * 2^(e - e0) + (k - k0 * 2^(e - e0))
+Pair transport never leaves integer arithmetic. On cell ints (see
+`geometry`), a subcell x of a source cell y lands in the destination cell z
+at x ^ ((y ^ z) << depth), depth being how much finer x is than y: the bits
+below y's are kept and y's prefix is replaced by z's.
 
 `Word.product` folds the word with `then`, refining against every factor's
 whole partition. `product_equals` checks a word against a target without
@@ -31,10 +30,8 @@ from .errors import DimensionMismatchError, ElementError, ExponentLimitError
 from .geometry import (
     MAX_EXPONENT,
     Brick,
-    Cell,
     Partition,
     brick_intersect,  # noqa: F401 (kept importable as nvbaker.elements.brick_intersect)
-    _cell_ints,
     _RangeIndex,
     _total_measure,
     brick_meets,
@@ -64,37 +61,40 @@ class Pair:
         return f"{self.domain} -> {self.range}"
 
 
-def map_cell_through(sub: Cell, src: Cell, dst: Cell) -> Cell:
-    """Image of a subcell of src under the affine map sending src onto dst."""
-    shift = sub.exponent - src.exponent
-    if shift < 0 or (sub.numerator >> shift) != src.numerator:
-        raise ElementError(f"cell {sub} is not inside {src}")
-    offset = sub.numerator - (src.numerator << shift)
-    return Cell(dst.exponent + shift, (dst.numerator << shift) + offset)
-
-
 def map_through(sub: Brick, src: Brick, dst: Brick) -> Brick:
     """Image of a sub-brick of src under the affine map sending src onto dst."""
-    if not len(sub.cells) == len(src.cells) == len(dst.cells):
+    if not sub.dimension == src.dimension == dst.dimension:
         raise DimensionMismatchError(
             f"cannot map a {sub.dimension}-brick from a {src.dimension}-brick "
             f"onto a {dst.dimension}-brick"
         )
-    return Brick(
-        tuple(
-            map_cell_through(c, cs, cd)
-            for c, cs, cd in zip(sub.cells, src.cells, dst.cells)
-        )
+    if not src.contains_brick(sub):
+        raise ElementError(f"brick {sub} is not inside {src}")
+    return Brick._of(_carry(sub.ints, src.ints, dst.ints))
+
+
+def _carry(sub: tuple[int, ...], src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
+    """Cell ints of sub, inside src, carried onto dst (see the module docstring).
+
+    A carried cell can be finer than every operand's, so it is refused past
+    the exponent limit here, as `Cell` refuses one.
+    """
+    image = tuple(
+        x ^ ((y ^ z) << (x.bit_length() - y.bit_length())) for x, y, z in zip(sub, src, dst)
     )
+    finest = max(image).bit_length() - 1
+    if finest > MAX_EXPONENT:
+        raise ExponentLimitError(f"cell exponent {finest} exceeds the limit {MAX_EXPONENT}")
+    return image
 
 
 @dataclass(frozen=True)
 class Element:
     """A dyadic rearrangement, stored as pairs sorted by domain brick.
 
-    The constructor normalizes order but does not validate; use `from_pairs`
-    for checked construction from untrusted data. Operations inside the
-    library construct elements whose partitions are correct by construction.
+    The constructor sorts the pairs (any sequence) into a tuple but does not
+    validate; use `from_pairs` for checked construction from untrusted data.
+    Operations inside the library build elements correct by construction.
     """
 
     dimension: int
@@ -128,7 +128,7 @@ class Element:
 
     @property
     def domain_partition(self) -> Partition:
-        return Partition(tuple(p.domain for p in self.pairs))
+        return Partition([p.domain for p in self.pairs])
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -151,11 +151,11 @@ def then(f: Element, g: Element) -> Element:
         dom = map_through(meet, pf.range, pf.domain)
         rng = map_through(meet, pg.domain, pg.range)
         pairs.append(Pair(dom, rng))
-    return Element(f.dimension, tuple(pairs))
+    return Element(f.dimension, pairs)
 
 
 def inverse(f: Element) -> Element:
-    return Element(f.dimension, tuple(Pair(p.range, p.domain) for p in f.pairs))
+    return Element(f.dimension, [Pair(p.range, p.domain) for p in f.pairs])
 
 
 def apply_point(f: Element, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -216,7 +216,7 @@ def support(f: Element) -> tuple[Brick, ...]:
     overlap the moved set, so this is exact for elements in any
     presentation.
     """
-    moved = tuple(Pair(p.domain, p.domain) for p in f.pairs if not p.is_identity)
+    moved = [Pair(p.domain, p.domain) for p in f.pairs if not p.is_identity]
     return tuple(p.domain for p in coarsen(Element(f.dimension, moved)).pairs)
 
 
@@ -245,8 +245,8 @@ def coarsen(f: Element) -> Element:
             continue
         d, r = p.domain, p.range
         for axis in reversed(range(f.dimension)):
-            cd, cr = d.cells[axis], r.cells[axis]
-            if not cd.exponent or not cr.exponent or (cd.numerator | cr.numerator) & 1:
+            # Both cells must be lower children: a unit cell, 1, is odd too.
+            if (d.ints[axis] | r.ints[axis]) & 1:
                 continue
             partner = d.sibling(axis).sort_key()
             q = live.get(partner)
@@ -257,13 +257,13 @@ def coarsen(f: Element) -> Element:
             key = joined.domain.sort_key()
             live[key] = joined
             heapq.heappush(heap, key)
-            for a, c in enumerate(joined.domain.cells):
-                if c.numerator & 1:
+            for a, c in enumerate(joined.domain.ints):
+                if c & 1 and c != 1:
                     lower = joined.domain.sibling(a).sort_key()
                     if lower in live:
                         heapq.heappush(heap, lower)
             break
-    return Element(f.dimension, tuple(live.values()))
+    return Element(f.dimension, list(live.values()))
 
 
 @dataclass(frozen=True)
@@ -314,24 +314,22 @@ def product_equals(word: Word, target: Element) -> bool:
     pieces = _product_pieces(word, target)
     # The domains are cut from the cube, so their measures add up to 1
     # unless a piece was lost or duplicated.
-    depths = [sum(c.bit_length() - 1 for c in dom) for dom, _ in pieces]
-    return _total_measure(depths) == 1 and all(dom == rng for dom, rng in pieces)
+    domains = [dom for dom, _ in pieces]
+    return _total_measure(domains) == 1 and all(dom == rng for dom, rng in pieces)
 
 
 _Piece = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _product_pieces(word: Word, target: Element) -> list[_Piece]:
-    """The pieces (domain, range) of word . inverse(target), as cell ints.
+    """The pieces (domain, range) of word . inverse(target), as `Brick.ints`.
 
-    Bricks are in the one-int-per-cell form of `geometry._cell_ints`, which
-    the range index shares with `brick_meets`. Starting from the cube
-    mapped to itself, each non-identity pair d -> r of a factor takes the
-    pieces whose range meets d out of the index. Each such range is cut on
-    every axis where it is coarser than d, one level at a time; the half
-    missing d returns to the index, since a later pair of the same factor
-    may move it. The part inside d is carried to r scale for scale and
-    rejoins the index once the whole factor has been applied.
+    Starting from the cube mapped to itself, each non-identity pair d -> r
+    of a factor takes the pieces whose range meets d out of the index.
+    Each such range is cut on every axis where it is coarser than d, one
+    level at a time; the half missing d returns to the index, since a later
+    pair of the same factor may move it. The part inside d is carried to r
+    by `_carry` and rejoins the index once the whole factor has been applied.
     """
     cube = (1,) * word.dimension
     index = _RangeIndex([cube])  # indexes the ranges; `domains` holds the rest
@@ -341,10 +339,7 @@ def _product_pieces(word: Word, target: Element) -> list[_Piece]:
         for p in f.pairs:
             if p.is_identity:
                 continue
-            d, r = _cell_ints(p.domain), _cell_ints(p.range)
-            # A cell x inside d's cell y lands at x ^ ((y ^ z) << depth) in
-            # r's cell z, where depth is how much finer x is than y.
-            shift = [(y ^ z, y.bit_length()) for y, z in zip(d, r)]
+            d, r = p.domain.ints, p.range.ints
             for i, rng in index.pop_meeting(d):
                 dom, rng = list(domains.pop(i)), list(rng)
                 for a, (x, y) in enumerate(zip(rng, d)):
@@ -357,15 +352,7 @@ def _product_pieces(word: Word, target: Element) -> list[_Piece]:
                             domains[index.add(tuple(rng))] = tuple(dom)
                             u, x = dom[a] ^ 1, rng[a] ^ 1
                         dom[a], rng[a] = u, x
-                image = tuple(x ^ (t << (x.bit_length() - n)) for x, (t, n) in zip(rng, shift))
-                # Only a carried range gets finer than the word's own cells;
-                # refuse it past the limit, as `Cell` does on the fold.
-                finest = max(image).bit_length() - 1
-                if finest > MAX_EXPONENT:
-                    raise ExponentLimitError(
-                        f"cell exponent {finest} exceeds the limit {MAX_EXPONENT}"
-                    )
-                moved.append((tuple(dom), image))
+                moved.append((tuple(dom), _carry(tuple(rng), d, r)))
         for dom, rng in moved:
             domains[index.add(rng)] = dom
     return [(domains[i], rng) for i, rng in index.bricks.items()]

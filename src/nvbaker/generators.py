@@ -44,7 +44,7 @@ def make_transposition(spec: TranspositionSpec) -> Element:
             f"ambient is not a partition: {'; '.join(report.problems)}"
         )
     image = {spec.a: spec.b, spec.b: spec.a}
-    pairs = tuple(Pair(brick, image.get(brick, brick)) for brick in spec.ambient)
+    pairs = [Pair(brick, image.get(brick, brick)) for brick in spec.ambient]
     return Element(spec.ambient.dimension, pairs)
 
 
@@ -80,7 +80,7 @@ def make_baker(spec: BakerSpec) -> Element:
     pairs = [Pair(lo_i, lo_j), Pair(hi_i, hi_j)]
     for brick in peel_to_unit(spec.support):
         pairs.append(Pair(brick, brick))
-    return Element(spec.dimension, tuple(pairs))
+    return Element(spec.dimension, pairs)
 
 
 def is_transposition_form(f: Element) -> tuple[bool, TranspositionSpec | None]:

@@ -1,27 +1,22 @@
 """Dyadic intervals, bricks, and partitions of the unit n-cube.
 
-All geometry is exact: a cell is the half-open interval [k/2^e, (k+1)/2^e)
-stored as the integer pair (e, k), and a brick is a product of one cell per
-axis. Two dyadic cells are always nested or disjoint, which is what makes
+All geometry is exact: a cell is the half-open interval [k/2^e, (k+1)/2^e),
+the pair (e, k) of a `Cell`, and a brick is a product of one cell per axis.
+Two dyadic cells are always nested or disjoint, which is what makes
 partition refinement and the rest of the library purely combinatorial.
 
-Fractions appear only at the boundary (reporting endpoints, measures, point
-membership); every decision procedure runs on integers, and so do the sort
-keys: a cell sorts by its left endpoint scaled by 2^MAX_EXPONENT, an exact
-integer, then by its exponent.
+A `Brick` stores each cell as one int, ``(1 << e) | k``: the cell's binary
+string, so halving appends a bit, its ancestors are its prefixes, a longer
+int is a finer cell, and two cells meet exactly when one is a prefix of the
+other. Every brick primitive runs on these ints; `Brick.cells` builds
+`Cell`s only for readers. Fractions appear only at the boundary (endpoints,
+measures, point membership), and the sort keys are integers too: a cell
+sorts by its left endpoint scaled by 2^MAX_EXPONENT, then by its exponent.
 
-Inside, a cell is also one int, ``(1 << e) | k``: the cell's binary
-string, so its ancestors are its prefixes and two cells meet exactly when
-one is a prefix of the other. One `_RangeIndex` over such bricks answers
-every "which bricks meet this one" question: `brick_meets` (composition,
-equality, refinement), the overlap check of `partition_validate` and
-`tile_complement`, and the one-pass verifier in `elements`. It files each
-brick, per axis, under its cell and every prefix of that cell, so a query
-is one lookup and a walk up the query cell's prefixes; the price is memory
-that grows with the bricks' total cell depth, not just their number.
-`tile_complement` descends from the unit cube on an explicit stack of
-integer regions, halving along the lowest axis where a live hole is finer,
-which pins its tiles.
+One `_RangeIndex` over such bricks answers every "which bricks meet this
+one" question: `brick_meets` (composition, equality, refinement), the
+overlap check of `partition_validate` and `tile_complement`, and the
+one-pass verifier in `elements`.
 """
 
 from __future__ import annotations
@@ -38,9 +33,9 @@ from .errors import (
     PartitionError,
 )
 
-# Hard ceilings on cell exponents and on axes. Cells deepen only through Cell
-# and a bare dimension becomes cells only in `unit_brick`, so one check in
-# each guards the whole library against runaway work.
+# Hard ceilings on cell exponents and on axes. Cells deepen only through `Cell`,
+# `Brick.split` and `elements._carry`, and a bare dimension becomes cells only
+# in `unit_brick`, so one check in each guards the library against runaway work.
 MAX_EXPONENT = 64
 MAX_DIMENSION = 64
 
@@ -119,65 +114,78 @@ class Cell:
 
 def cell_relation(a: Cell, b: Cell) -> CellRelation:
     """Classify two dyadic cells. They are never partially overlapping."""
-    if a.exponent == b.exponent:
-        return CellRelation.EQUAL if a.numerator == b.numerator else CellRelation.DISJOINT
-    if a.exponent > b.exponent:
-        # a is the finer cell; it sits inside b iff truncating matches.
-        inside = (a.numerator >> (a.exponent - b.exponent)) == b.numerator
-        return CellRelation.A_INSIDE_B if inside else CellRelation.DISJOINT
-    inside = (b.numerator >> (b.exponent - a.exponent)) == a.numerator
-    return CellRelation.B_INSIDE_A if inside else CellRelation.DISJOINT
+    x, y = Brick((a, b)).ints  # the two cells as cell ints
+    if x == y:
+        return CellRelation.EQUAL
+    if _inside(x, y):
+        return CellRelation.A_INSIDE_B
+    return CellRelation.B_INSIDE_A if _inside(y, x) else CellRelation.DISJOINT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Brick:
-    """Product of one dyadic cell per axis: a half-open box in [0,1)^n."""
+    """Product of one dyadic cell per axis: a half-open box in [0,1)^n.
 
-    cells: tuple[Cell, ...]
+    `Brick(cells)` takes checked `Cell`s and stores one cell int per axis.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.cells:
+    ints: tuple[int, ...]
+
+    def __init__(self, cells: Sequence[Cell]) -> None:
+        if not cells:
             raise GeometryError("a brick needs at least one axis")
+        object.__setattr__(self, "ints", tuple((1 << c.exponent) | c.numerator for c in cells))
+
+    @classmethod
+    def _of(cls, ints: tuple[int, ...]) -> "Brick":
+        """A brick from valid cell ints, as the library derives them: unchecked."""
+        brick = object.__new__(cls)
+        object.__setattr__(brick, "ints", ints)
+        return brick
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        return tuple(Cell(*_cell_of(c)) for c in self.ints)
 
     @property
     def dimension(self) -> int:
-        return len(self.cells)
+        return len(self.ints)
 
     @property
     def measure(self) -> Fraction:
-        m = Fraction(1)
-        for c in self.cells:
-            m *= c.length
-        return m
+        return _total_measure([self.ints])
 
     @property
     def diameter(self) -> Fraction:
         """Longest side (the l-infinity diameter)."""
-        return max(c.length for c in self.cells)
+        return Fraction(1, 1 << _cell_of(min(self.ints))[0])
 
     @property
     def is_unit(self) -> bool:
-        return all(c.exponent == 0 for c in self.cells)
+        return max(self.ints) == 1
 
     def split(self, axis: int) -> tuple["Brick", "Brick"]:
         """Halve along one axis into (lower, upper)."""
-        self._check_axis(axis)
-        lo, hi = self.cells[axis].split()
-        return self.replace(axis, lo), self.replace(axis, hi)
+        c = self._at(axis) << 1
+        if c.bit_length() - 1 > MAX_EXPONENT:
+            raise ExponentLimitError(
+                f"cell exponent {c.bit_length() - 1} exceeds the limit {MAX_EXPONENT}"
+            )
+        return self._with(axis, c), self._with(axis, c | 1)
 
     def double(self, axis: int) -> "Brick":
-        self._check_axis(axis)
-        return self.replace(axis, self.cells[axis].double())
+        if self._at(axis) == 1:
+            raise GeometryError("the unit interval has no parent cell")
+        return self._with(axis, self.ints[axis] >> 1)
 
     def sibling(self, axis: int) -> "Brick":
-        self._check_axis(axis)
-        return self.replace(axis, self.cells[axis].sibling())
+        if self._at(axis) == 1:
+            raise GeometryError("the unit interval has no sibling")
+        return self._with(axis, self.ints[axis] ^ 1)
 
     def replace(self, axis: int, cell: Cell) -> "Brick":
-        self._check_axis(axis)
-        cells = list(self.cells)
-        cells[axis] = cell
-        return Brick(tuple(cells))
+        self._at(axis)
+        return self._with(axis, (1 << cell.exponent) | cell.numerator)
 
     def contains_point(self, point: Sequence[Fraction]) -> bool:
         if len(point) != self.dimension:
@@ -188,25 +196,39 @@ class Brick:
 
     def contains_brick(self, other: "Brick") -> bool:
         _check_same_dimension(self, other)
-        return all(
-            cell_relation(oc, sc) in (CellRelation.EQUAL, CellRelation.A_INSIDE_B)
-            for oc, sc in zip(other.cells, self.cells)
-        )
+        return all(_inside(o, s) for o, s in zip(other.ints, self.ints))
 
     def sort_key(self) -> tuple[int, ...]:
+        """Orders bricks as their cells' (lo, exponent) pairs do, axis by axis."""
         key: tuple[int, ...] = ()
-        for c in self.cells:
-            key += c.sort_key()
+        for c in self.ints:
+            e = c.bit_length() - 1
+            key += ((c ^ (1 << e)) << (MAX_EXPONENT - e), e)
         return key
 
     def __str__(self) -> str:
-        return ",".join(str(c) for c in self.cells)
+        return ",".join("{1}/2^{0}".format(*_cell_of(c)) for c in self.ints)
 
-    def _check_axis(self, axis: int) -> None:
+    def _with(self, axis: int, c: int) -> "Brick":
+        return Brick._of(self.ints[:axis] + (c,) + self.ints[axis + 1 :])
+
+    def _at(self, axis: int) -> int:
+        """The cell int on an axis, once the axis is checked."""
         if not 0 <= axis < self.dimension:
-            raise GeometryError(
-                f"axis {axis} out of range for dimension {self.dimension}"
-            )
+            raise GeometryError(f"axis {axis} out of range for dimension {self.dimension}")
+        return self.ints[axis]
+
+
+def _cell_of(c: int) -> tuple[int, int]:
+    """The (exponent, numerator) of a cell int."""
+    e = c.bit_length() - 1
+    return e, c ^ (1 << e)
+
+
+def _inside(x: int, y: int) -> bool:
+    """Whether cell int x lies inside cell int y: y is a prefix of x."""
+    shift = x.bit_length() - y.bit_length()
+    return shift >= 0 and x >> shift == y
 
 
 def _check_same_dimension(a: Brick, b: Brick) -> None:
@@ -220,16 +242,12 @@ def brick_intersect(a: Brick, b: Brick) -> Brick | None:
     """Intersection of two bricks, or None when they are disjoint.
 
     Per axis the cells are nested or disjoint, so the intersection is the
-    finer cell on every axis or empty.
+    finer cell, the larger int, on every axis or empty.
     """
     _check_same_dimension(a, b)
-    cells = []
-    for ca, cb in zip(a.cells, b.cells):
-        rel = cell_relation(ca, cb)
-        if rel is CellRelation.DISJOINT:
-            return None
-        cells.append(ca if rel in (CellRelation.EQUAL, CellRelation.A_INSIDE_B) else cb)
-    return Brick(tuple(cells))
+    if all(_inside(max(x, y), min(x, y)) for x, y in zip(a.ints, b.ints)):
+        return Brick._of(tuple(map(max, a.ints, b.ints)))
+    return None
 
 
 def bricks_disjoint(a: Brick, b: Brick) -> bool:
@@ -256,11 +274,11 @@ def brick_meets(
     for b in (*xs, *ys):
         if b.dimension != dim:
             raise DimensionMismatchError(f"bricks of dimensions {dim} and {b.dimension}")
-    index = _RangeIndex([_cell_ints(x) for x in xs])
+    index = _RangeIndex([x.ints for x in xs])
     return [
         (i, j, brick_intersect(xs[i], y))
         for j, y in enumerate(ys)
-        for i in index.meeting(_cell_ints(y))
+        for i in index.meeting(y.ints)
     ]
 
 
@@ -272,17 +290,8 @@ def _overlaps(cells: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
     return sorted((i, j) for j, c in enumerate(cells) for i in index.meeting(c) if i < j)
 
 
-def _cell_ints(b: Brick) -> tuple[int, ...]:
-    """A brick as one int per axis, ``(1 << e) | k`` for the cell [k/2^e, ...).
-
-    Halving a cell appends a bit, its ancestors are its right shifts, and
-    a longer int is a finer cell.
-    """
-    return tuple((1 << c.exponent) | c.numerator for c in b.cells)
-
-
 class _RangeIndex:
-    """Bricks in cell-int form, by id, found through their cells.
+    """Bricks as their cell ints (`Brick.ints`), by id, found through their cells.
 
     Two bricks meet exactly when their cells are nested on every axis, and
     two cell ints are nested exactly when one is a prefix, a right shift,
@@ -355,7 +364,7 @@ class _RangeIndex:
 
 @dataclass(frozen=True)
 class Partition:
-    """A set of pairwise-disjoint bricks covering [0,1)^n, stored sorted."""
+    """Pairwise-disjoint bricks covering [0,1)^n, given in any sequence, stored sorted."""
 
     bricks: tuple[Brick, ...]
 
@@ -406,20 +415,21 @@ def partition_validate(bricks: Iterable[Brick]) -> ValidationReport:
         if b.dimension != dim:
             problems.append(f"mixed dimensions: {dim} and {b.dimension}")
             return ValidationReport(False, tuple(problems))
-    for i, j in _overlaps([_cell_ints(b) for b in items]):
+    for i, j in _overlaps([b.ints for b in items]):
         problems.append(f"bricks overlap: {items[i]} and {items[j]}")
-    total = _total_measure([sum(c.exponent for c in b.cells) for b in items])
+    total = _total_measure([b.ints for b in items])
     if total != 1:
         problems.append(f"total measure is {total}, expected 1")
     return ValidationReport(not problems, tuple(problems))
 
 
-def _total_measure(depths: Sequence[int]) -> Fraction:
-    """The total measure of bricks of these depths, one per brick.
+def _total_measure(bricks: Sequence[tuple[int, ...]]) -> Fraction:
+    """The total measure of bricks given as cell ints.
 
     A brick's measure is 2^-depth, its depth the sum of its exponents, so
     the sum is an exact integer count of cells at the deepest depth.
     """
+    depths = [sum(c.bit_length() for c in b) - len(b) for b in bricks]
     deepest = max(depths)
     return Fraction(sum(1 << (deepest - d) for d in depths), 1 << deepest)
 
@@ -427,7 +437,7 @@ def _total_measure(depths: Sequence[int]) -> Fraction:
 def unit_brick(dimension: int) -> Brick:
     if not 1 <= dimension <= MAX_DIMENSION:
         raise GeometryError(f"dimension must be in 1..{MAX_DIMENSION}, got {dimension}")
-    return Brick(tuple(Cell(0, 0) for _ in range(dimension)))
+    return Brick._of((1,) * dimension)
 
 
 def unit_partition(dimension: int) -> Partition:
@@ -440,7 +450,7 @@ def common_refinement(p: Partition, q: Partition) -> Partition:
         raise DimensionMismatchError(
             f"partitions of dimensions {p.dimension} and {q.dimension}"
         )
-    return Partition(tuple(meet for _, _, meet in brick_meets(p.bricks, q.bricks)))
+    return Partition([meet for _, _, meet in brick_meets(p.bricks, q.bricks)])
 
 
 def peel_to_unit(brick: Brick) -> list[Brick]:
@@ -456,7 +466,7 @@ def peel_to_unit(brick: Brick) -> list[Brick]:
     while not cur.is_unit:
         axis = max(
             range(cur.dimension),
-            key=lambda a: (cur.cells[a].exponent, -a),
+            key=lambda a: (cur.ints[a].bit_length(), -a),
         )
         out.append(cur.sibling(axis))
         cur = cur.double(axis)
@@ -476,18 +486,17 @@ def tile_complement(dimension: int, holes: Sequence[Brick]) -> list[Brick]:
             raise DimensionMismatchError(
                 f"hole of dimension {b.dimension} in a {dimension}-cube"
             )
-    cells = [_cell_ints(b) for b in holes]
+    cells = [b.ints for b in holes]
     overlaps = _overlaps(cells)
     if overlaps:
         i, j = overlaps[0]
         raise GeometryError(f"holes overlap: {holes[i]} and {holes[j]}")
     out: list[Brick] = []
-    stack = [((1,) * dimension, cells)]
+    stack = [(unit_brick(dimension).ints, cells)]
     while stack:
         region, live = stack.pop()
         if not live:
-            tile = (Cell(c.bit_length() - 1, c ^ (1 << c.bit_length() - 1)) for c in region)
-            out.append(Brick(tuple(tile)))
+            out.append(Brick._of(region))
             continue
         for axis, r in enumerate(region):
             n = r.bit_length()

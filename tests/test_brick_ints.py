@@ -1,0 +1,183 @@
+"""`Brick`'s cell-int form against a `Cell` reference.
+
+A brick stores one int ``(1 << e) | k`` per axis and runs every primitive
+on those ints. The references below work on `Cell` objects instead, as
+bricks once did: meets from the per-axis relation of (exponent, numerator)
+pairs, transport by the affine formula on those pairs, and halving,
+doubling and siblings by the `Cell` methods.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nvbaker import (
+    MAX_EXPONENT,
+    Brick,
+    Cell,
+    CellRelation,
+    ElementError,
+    GeometryError,
+    NvError,
+    brick_intersect,
+    bricks_disjoint,
+    cell_relation,
+    map_through,
+)
+
+
+def reference_relation(a: Cell, b: Cell) -> CellRelation:
+    if a.exponent == b.exponent:
+        return CellRelation.EQUAL if a.numerator == b.numerator else CellRelation.DISJOINT
+    if a.exponent > b.exponent:
+        inside = (a.numerator >> (a.exponent - b.exponent)) == b.numerator
+        return CellRelation.A_INSIDE_B if inside else CellRelation.DISJOINT
+    inside = (b.numerator >> (b.exponent - a.exponent)) == a.numerator
+    return CellRelation.B_INSIDE_A if inside else CellRelation.DISJOINT
+
+
+def reference_intersect(a: Brick, b: Brick) -> Brick | None:
+    cells = []
+    for ca, cb in zip(a.cells, b.cells):
+        rel = reference_relation(ca, cb)
+        if rel is CellRelation.DISJOINT:
+            return None
+        cells.append(ca if rel in (CellRelation.EQUAL, CellRelation.A_INSIDE_B) else cb)
+    return Brick(tuple(cells))
+
+
+def reference_map_cell(sub: Cell, src: Cell, dst: Cell) -> Cell:
+    shift = sub.exponent - src.exponent
+    if shift < 0 or (sub.numerator >> shift) != src.numerator:
+        raise ElementError(f"cell {sub} is not inside {src}")
+    offset = sub.numerator - (src.numerator << shift)
+    return Cell(dst.exponent + shift, (dst.numerator << shift) + offset)
+
+
+def reference_map(sub: Brick, src: Brick, dst: Brick) -> Brick:
+    return Brick(
+        tuple(reference_map_cell(*cells) for cells in zip(sub.cells, src.cells, dst.cells))
+    )
+
+
+def reference_step(b: Brick, axis: int, step: str) -> Brick | tuple[Brick, Brick]:
+    """`Brick.split`, `double` or `sibling` through the `Cell` method."""
+    if not 0 <= axis < len(b.cells):
+        raise GeometryError(f"axis {axis} out of range")
+    cells = b.cells
+
+    def put(cell: Cell) -> Brick:
+        return Brick(cells[:axis] + (cell,) + cells[axis + 1 :])
+
+    moved = getattr(cells[axis], step)()
+    return tuple(map(put, moved)) if step == "split" else put(moved)
+
+
+def outcome(call):
+    """A call's result, or the type of the library error it raised."""
+    try:
+        return call()
+    except NvError as exc:
+        return type(exc)
+
+
+@st.composite
+def cells(draw, lo: int = 0, hi: int = MAX_EXPONENT) -> Cell:
+    """A cell with exponent in lo..hi, the end exponents drawn often."""
+    hi = min(hi, MAX_EXPONENT)
+    e = draw(st.integers(lo, hi) | st.sampled_from([lo, hi]))
+    return Cell(e, draw(st.integers(0, (1 << e) - 1)))
+
+
+@st.composite
+def near(draw, c: Cell) -> Cell:
+    """A cell related to c: itself, an ancestor, a descendant or any cell."""
+    kind = draw(st.sampled_from(["same", "ancestor", "descendant", "any"]))
+    if kind == "ancestor":
+        up = draw(st.integers(0, c.exponent))
+        return Cell(c.exponent - up, c.numerator >> up)
+    if kind == "descendant":
+        return draw(inside(c))
+    return c if kind == "same" else draw(cells())
+
+
+@st.composite
+def inside(draw, c: Cell) -> Cell:
+    down = draw(st.integers(0, MAX_EXPONENT - c.exponent))
+    below = draw(st.integers(0, (1 << down) - 1))
+    return Cell(c.exponent + down, (c.numerator << down) | below)
+
+
+@st.composite
+def brick_pairs(draw, dimension: int | None = None) -> tuple[Brick, Brick]:
+    """Two bricks of one dimension (1 to 4) whose cells are often nested."""
+    first = [draw(cells()) for _ in range(dimension or draw(st.integers(1, 4)))]
+    second = [draw(near(c)) for c in first]
+    return Brick(tuple(first)), Brick(tuple(second))
+
+
+@settings(deadline=None)
+@given(brick_pairs())
+def test_cells_round_trip(pair):
+    for b in pair:
+        again = Brick(b.cells)
+        assert again == b and hash(again) == hash(b)
+        assert again.cells == b.cells
+        assert str(b) == ",".join(str(c) for c in b.cells)
+    a, b = pair
+    assert (a == b) == (a.cells == b.cells)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(brick_pairs(n), min_size=1, max_size=8)))
+def test_sort_key_orders_as_left_ends_then_exponents(pairs):
+    bricks = [b for pair in pairs for b in pair]
+    for b in bricks:
+        assert b.sort_key() == sum((c.sort_key() for c in b.cells), ())
+
+    def by_fractions(b: Brick) -> tuple:
+        return tuple((Fraction(c.numerator, 1 << c.exponent), c.exponent) for c in b.cells)
+
+    assert sorted(bricks, key=Brick.sort_key) == sorted(bricks, key=by_fractions)
+
+
+@settings(deadline=None)
+@given(brick_pairs())
+def test_meets_agree_with_the_cell_relation(pair):
+    a, b = pair
+    for ca, cb in zip(a.cells, b.cells):
+        assert cell_relation(ca, cb) is reference_relation(ca, cb)
+    meet = reference_intersect(a, b)
+    assert brick_intersect(a, b) == meet
+    assert bricks_disjoint(a, b) == (meet is None)
+    assert a.contains_brick(b) == (meet == b)
+    assert b.contains_brick(a) == (meet == a)
+
+
+@settings(deadline=None)
+@given(brick_pairs(), st.data())
+def test_map_through_agrees_with_the_cell_formula(pair, data):
+    src = pair[0]
+    sub = data.draw(st.just(pair[1]) | st.tuples(*map(inside, src.cells)).map(Brick))
+
+    def landing(c: Cell, s: Cell) -> Cell:
+        # Often where c, carried from s, lands at the limit or one past it.
+        depth = max(c.exponent - s.exponent, 0)
+        return data.draw(cells() | cells(MAX_EXPONENT - depth, MAX_EXPONENT - depth + 1))
+
+    dst = Brick(tuple(map(landing, sub.cells, src.cells)))
+    expected = outcome(lambda: reference_map(sub, src, dst))
+    if reference_intersect(sub, src) != sub:
+        # Containment is checked on every axis before any cell is carried.
+        expected = ElementError
+    assert outcome(lambda: map_through(sub, src, dst)) == expected
+
+
+@settings(deadline=None)
+@given(brick_pairs(), st.integers(-1, 4), st.sampled_from(["split", "double", "sibling"]))
+def test_steps_agree_with_the_cell_methods(pair, axis, step):
+    for b in pair:
+        assert outcome(lambda: getattr(b, step)(axis)) == outcome(
+            lambda: reference_step(b, axis, step)
+        )

@@ -498,6 +498,27 @@ def test_bad_file_fails_closed(run, tmp_path, text):
     assert os.listdir(tmp_path) == ["bad.nv"]
 
 
+NON_UTF8_CASES = {
+    "inverse": ("inverse", "bad.nv", "-o", "out.nv"),
+    "verify_word": ("verify", "bad.nv", "baker.nv"),
+    "verify_target": ("verify", "word.nv", "bad.nv"),
+}
+
+
+@pytest.mark.parametrize("argv", NON_UTF8_CASES.values(), ids=NON_UTF8_CASES.keys())
+def test_non_utf8_file_fails_closed(run, tmp_path, argv):
+    (tmp_path / "bad.nv").write_bytes(b"\xff\xfe")
+    (tmp_path / "baker.nv").write_text(BAKER_TEXT)
+    (tmp_path / "word.nv").write_text(serialize_word(Word(2, (BAKER,))))
+    files = sorted(os.listdir(tmp_path))
+    code, stdout, err = run(*(str(tmp_path / a) if a.endswith(".nv") else a for a in argv))
+    assert code == 2
+    assert err.startswith("error:") and "not UTF-8" in err
+    assert "Traceback" not in err
+    assert stdout == ""
+    assert sorted(os.listdir(tmp_path)) == files
+
+
 class TestUsageErrors:
     def test_no_arguments(self, run):
         assert run()[0] == 2

@@ -247,6 +247,31 @@ def test_tree_pairs_partition_the_cube(dimension, leaves, data):
     assert len(e) == leaves
     assert partition_validate([p.domain for p in e.pairs])
     assert partition_validate([p.range for p in e.pairs])
+    text = serialize_element(e)
+    assert parse_element(text) == e
+    assert serialize_element(parse_element(text)) == text
+
+
+seeds = st.integers(0, 2**64 - 1)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), seeds)
+def test_random_elements_round_trip(dimension, depth, seed):
+    e = random_element(RandomElementSpec(dimension, depth, seed))
+    text = serialize_element(e)
+    assert parse_element(text) == e
+    assert serialize_element(parse_element(text)) == text
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.lists(st.tuples(st.integers(0, 4), seeds), min_size=1, max_size=4))
+def test_random_words_round_trip(dimension, shapes):
+    factors = tuple(random_element(RandomElementSpec(dimension, d, s)) for d, s in shapes)
+    word = Word(dimension, factors)
+    text = serialize_word(word)
+    assert parse_word(text) == word
+    assert serialize_word(parse_word(text)) == text
 
 
 class TestTreePairs:

@@ -271,7 +271,7 @@ def test_range_index_matches_a_live_model(run):
     # The index against a dict of live bricks: adds, queries and pops in
     # any order, cells as deep as the exponent limit (65-bit cell ints).
     start, steps = run
-    index = geometry._RangeIndex([geometry._cell_ints(b) for b in start])
+    index = geometry._RangeIndex([b.ints for b in start])
     live = dict(enumerate(start))
     probes = start + [b for _, b in steps]
 
@@ -279,16 +279,16 @@ def test_range_index_matches_a_live_model(run):
         return {i for i, b in live.items() if brick_intersect(b, d) is not None}
 
     for op, b in steps:
-        d = geometry._cell_ints(b)
+        d = b.ints
         if op == "add":
             live[index.add(d)] = b
         elif op == "meeting":
             assert index.meeting(d) == expected(b)
         else:
-            want = sorted((i, geometry._cell_ints(live[i])) for i in expected(b))
+            want = sorted((i, live[i].ints) for i in expected(b))
             assert sorted(index.pop_meeting(d)) == want
             for i, _ in want:
                 del live[i]
-        assert {i: geometry._cell_ints(x) for i, x in live.items()} == index.bricks
+        assert {i: x.ints for i, x in live.items()} == index.bricks
         for probe in probes:
-            assert index.meeting(geometry._cell_ints(probe)) == expected(probe)
+            assert index.meeting(probe.ints) == expected(probe)
