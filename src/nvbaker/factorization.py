@@ -17,6 +17,11 @@ The pipeline:
                        (`verify_word`: one pass that applies each factor only
                        where it moves points, not a fold of the whole word)
 
+Each transposition's ambient is one `tile_complement` of some holes, with
+each hole whole or halved by `Brick.split`. The tiling is validated once
+with its holes (`_complement`), which covers every ambient built from it;
+the public `make_transposition` still validates its ambient in full.
+
 Throughout, words multiply left to right: the first factor applies first.
 """
 
@@ -26,20 +31,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal
 
-from .errors import FactorizationError
-from .geometry import MAX_EXPONENT, Brick, Partition, bricks_disjoint, tile_complement
+from .errors import FactorizationError, PartitionError
+from .geometry import MAX_EXPONENT, Brick, bricks_disjoint, partition_validate, tile_complement
 from .elements import (
     Element,
+    Pair,
     Word,
     equals,  # noqa: F401 (kept importable as nvbaker.factorization.equals)
     product_equals,
 )
-from .generators import (
-    BakerSpec,
-    TranspositionSpec,
-    make_baker,
-    make_transposition,
-)
+from .generators import BakerSpec, make_baker
 
 SplitKind = Literal["domain", "range"]
 
@@ -66,14 +67,24 @@ def split_baker(
         raise FactorizationError(f"unknown split kind: {along!r}")
     lo, hi = spec.support.split(i if along == "domain" else j)
     pattern = (*lo.split(j), *hi.split(j))
-    outside = tile_complement(spec.dimension, [spec.support])
+    outside = _complement(spec.dimension, [spec.support])
     t = _swap((*pattern, *outside), pattern[1], pattern[2])
     return t, BakerSpec(lo, i, j), BakerSpec(hi, i, j)
 
 
-def _swap(bricks: tuple[Brick, ...], a: Brick, b: Brick) -> Element:
-    """The transposition of a and b inside the ambient partition `bricks`."""
-    return make_transposition(TranspositionSpec(Partition(bricks), a, b))
+def _complement(dimension: int, holes: list[Brick]) -> list[Brick]:
+    """`tile_complement` of the holes, checked once to partition the cube with them."""
+    outside = tile_complement(dimension, holes)
+    report = partition_validate([*holes, *outside])
+    if not report:
+        raise PartitionError(f"ambient is not a partition: {'; '.join(report.problems)}")
+    return outside
+
+
+def _swap(ambient: tuple[Brick, ...], a: Brick, b: Brick) -> Element:
+    """The transposition of a and b inside `ambient`, built from a `_complement`."""
+    image = {a: b, b: a}
+    return Element(a.dimension, [Pair(x, image.get(x, x)) for x in ambient])
 
 
 @dataclass(frozen=True)
@@ -122,12 +133,11 @@ def _check_reachable(spec: BakerSpec, epsilon: Fraction) -> None:
             f"epsilon too small: sides cannot drop below 2^-{MAX_EXPONENT}"
         )
     i, j = spec.split_axis, spec.merge_axis
-    for axis, cell in enumerate(spec.support.cells):
-        if axis in (i, j):
-            continue
-        if cell.length >= epsilon:
+    for axis, c in enumerate(spec.support.ints):
+        side = Fraction(1, 1 << (c.bit_length() - 1))
+        if axis not in (i, j) and side >= epsilon:
             raise FactorizationError(
-                f"epsilon too small: axis {axis} has side {cell.length}, which "
+                f"epsilon too small: axis {axis} has side {side}, which "
                 f"splitting never shrinks (only axes {i} and {j} are split)"
             )
 
@@ -161,9 +171,9 @@ def _split_rounds(
 
 def _wider_axis_kind(spec: BakerSpec) -> SplitKind:
     """Halve whichever in-plane side is longer; ties go to the split axis."""
-    side_i = spec.support.cells[spec.split_axis].length
-    side_j = spec.support.cells[spec.merge_axis].length
-    return "domain" if side_i >= side_j else "range"
+    depth_i = spec.support.ints[spec.split_axis].bit_length()  # the finer, the shorter
+    depth_j = spec.support.ints[spec.merge_axis].bit_length()
+    return "domain" if depth_i <= depth_j else "range"
 
 
 def cancel_disjoint_pair(a: BakerSpec, b: BakerSpec) -> Word:
@@ -195,7 +205,7 @@ def cancel_disjoint_pair(a: BakerSpec, b: BakerSpec) -> Word:
     i, j = a.split_axis, a.merge_axis
     a0, a1 = a.support.split(i)
     b0, b1 = b.support.split(j)
-    outside = tile_complement(a.support.dimension, [a.support, b.support])
+    outside = _complement(a.support.dimension, [a.support, b.support])
     fine = (a0, a1, b0, b1, *outside)
     swaps = (_swap(fine, a0, b0), _swap(fine, a1, b1))
     last = _swap((a.support, b.support, *outside), a.support, b.support)
@@ -220,7 +230,7 @@ def factor_small_baker(spec: BakerSpec) -> Word:
     """
     i, j = spec.split_axis, spec.merge_axis
     r = spec.support
-    if r.cells[i].exponent < 1 or r.cells[j].exponent < 1:
+    if r.ints[i] == 1 or r.ints[j] == 1:  # cell int 1 is the whole side
         raise FactorizationError(
             f"support {r} is too large: both in-plane sides must be at most 1/2"
         )
@@ -275,9 +285,7 @@ def factor_baker(
         _check_reachable(spec, epsilon)
 
     def too_big(b: BakerSpec) -> bool:
-        if b.support.cells[b.split_axis].exponent < 1:
-            return True
-        if b.support.cells[b.merge_axis].exponent < 1:
+        if b.support.ints[b.split_axis] == 1 or b.support.ints[b.merge_axis] == 1:
             return True
         return epsilon is not None and b.support.diameter >= epsilon
 

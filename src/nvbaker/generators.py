@@ -116,8 +116,9 @@ def is_baker_form(f: Element) -> tuple[bool, BakerSpec | None]:
     if support != p.range.double(merge_axis):
         return False, None
     # Orientation: the lower split half must land on the lower merge half.
-    lower_dom = p if p.domain.cells[split_axis].is_lower_child else q
-    if not lower_dom.range.cells[merge_axis].is_lower_child:
+    # A child cell int ends in 0 exactly when it is the lower child.
+    lower_dom = p if p.domain.ints[split_axis] & 1 == 0 else q
+    if lower_dom.range.ints[merge_axis] & 1:
         return False, None
     # The moved pairs now pin the map exactly (pairs glue canonically and the
     # remaining pairs are identities), so no further comparison is needed.
@@ -134,12 +135,10 @@ def _two_moved(f: Element) -> tuple[Element, Pair, Pair] | None:
 def _sibling_axis(a: Brick, b: Brick) -> int | None:
     """The axis along which a and b are sibling halves, if there is one."""
     axis = None
-    for i, (ca, cb) in enumerate(zip(a.cells, b.cells)):
+    for i, (ca, cb) in enumerate(zip(a.ints, b.ints)):
         if ca == cb:
             continue
-        if axis is not None:
-            return None
-        if ca.exponent != cb.exponent or ca.exponent == 0 or ca.numerator ^ cb.numerator != 1:
+        if axis is not None or ca ^ cb != 1:  # siblings differ in the last bit only
             return None
         axis = i
     return axis

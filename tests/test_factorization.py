@@ -1,22 +1,32 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvbaker import (
     BakerSpec,
+    Brick,
+    Cell,
     Element,
     FactorizationError,
+    GridSpec,
+    PartitionError,
     Word,
     cancel_disjoint_pair,
     equals,
     factor_baker,
     factor_small_baker,
+    factorization,
+    grid_equals,
     identity,
     inverse,
     is_transposition_form,
     make_baker,
     product_equals,
     serialize_element,
+    serialize_word,
     shrink,
     split_baker,
     then,
@@ -302,6 +312,91 @@ class TestFactorBaker:
     def test_epsilon_validated(self):
         with pytest.raises(FactorizationError, match="positive"):
             factor_baker(UNIT2, Fraction(-1))
+
+    def test_eighth_epsilon_word_is_pinned(self):
+        word = factor_baker(UNIT2, Fraction(1, 8)).word
+        assert len(word.factors) == 2047
+        assert hashlib.sha256(serialize_word(word).encode()).hexdigest() == (
+            "838ad214031aa48d0b0aacef1eae266c148d02651b5358a665c72420320df76d"
+        )
+
+
+def _drop(tiles):
+    return tiles[1:]
+
+
+def _duplicate(tiles):
+    return tiles + tiles[:1]
+
+
+def _parent(tiles):
+    if not tiles:
+        return tiles
+    first = tiles[0]
+    axis = next(a for a, c in enumerate(first.ints) if c != 1)
+    return [first.double(axis), *tiles[1:]]
+
+
+def _swap_equal_measure(tiles):
+    """Drop one tile and duplicate another of the same measure: the total
+    measure stays 1, so only the overlap check can see it."""
+    for k, x in enumerate(tiles):
+        for y in tiles[k + 1 :]:
+            if x.measure == y.measure:
+                return [t for t in tiles if t != y] + [x]
+    return tiles
+
+
+@pytest.mark.parametrize("mutant", [_drop, _duplicate, _parent, _swap_equal_measure])
+def test_complement_mutants_never_give_a_report(monkeypatch, mutant):
+    """A wrong complement tiling must stop the factorization before any
+    transposition is built from it."""
+    real = factorization.tile_complement
+    changed = []
+
+    def broken(dimension, holes):
+        tiles = real(dimension, holes)
+        out = mutant(list(tiles))
+        changed.append(out != tiles)
+        return out
+
+    monkeypatch.setattr(factorization, "tile_complement", broken)
+    with pytest.raises(PartitionError, match="ambient is not a partition"):
+        factor_baker(UNIT2)
+    assert any(changed)
+
+
+@st.composite
+def small_bakers(draw):
+    """Baker specs in dimensions 2 to 4 with both in-plane sides at most
+    1/2, shaped like the benchmark's audited jobs."""
+    dim = draw(st.integers(2, 4))
+    i, j = draw(st.permutations(range(dim)))[:2]
+    cells = []
+    for axis in range(dim):
+        e = draw(st.integers(1, 4) if axis in (i, j) else st.integers(0, 3))
+        cells.append(Cell(e, draw(st.integers(0, (1 << e) - 1))))
+    return BakerSpec(Brick(tuple(cells)), i, j)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_bakers())
+def test_small_baker_factors_are_proper_and_agree_with_the_oracle(spec):
+    word = factor_baker(spec).word
+    for f in word.factors:
+        assert Element.from_pairs(f.pairs) == f
+        ok, t = is_transposition_form(f)
+        assert ok and t.proper
+    if spec.dimension == 2:
+        product, baker = word.product(), make_baker(spec)
+        finest = max(
+            c.bit_length() - 1
+            for e in (product, baker)
+            for p in e.pairs
+            for b in (p.domain, p.range)
+            for c in b.ints
+        )
+        assert grid_equals(product, baker, GridSpec(finest + 1))
 
 
 class TestVerifyWord:
