@@ -147,9 +147,10 @@ def then(f: Element, g: Element) -> Element:
         )
     pairs = []
     for i, j, meet in brick_meets([p.range for p in f.pairs], [p.domain for p in g.pairs]):
+        # The meet lies inside both operands, so it is carried unchecked.
         pf, pg = f.pairs[i], g.pairs[j]
-        dom = map_through(meet, pf.range, pf.domain)
-        rng = map_through(meet, pg.domain, pg.range)
+        dom = Brick._of(_carry(meet.ints, pf.range.ints, pf.domain.ints))
+        rng = Brick._of(_carry(meet.ints, pg.domain.ints, pg.range.ints))
         pairs.append(Pair(dom, rng))
     return Element(f.dimension, pairs)
 
@@ -198,8 +199,8 @@ def equals_witness(f: Element, g: Element) -> tuple[Fraction, ...] | None:
     meets.sort(key=lambda m: (m[0], m[1]))
     for i, j, piece in meets:
         pf, pg = f.pairs[i], g.pairs[j]
-        fi = map_through(piece, pf.domain, pf.range)
-        gi = map_through(piece, pg.domain, pg.range)
+        fi = Brick._of(_carry(piece.ints, pf.domain.ints, pf.range.ints))
+        gi = Brick._of(_carry(piece.ints, pg.domain.ints, pg.range.ints))
         if fi == gi:
             continue
         if any(cf.lo != cg.lo for cf, cg in zip(fi.cells, gi.cells)):
@@ -228,40 +229,40 @@ def coarsen(f: Element) -> Element:
     half; only such merges preserve the map. Until none applies, the pair
     with the lowest domain key that is the lower half of such a sibling pair
     merges along its highest such axis (the partner with the lowest key). A
-    heap of domain keys finds that pair: a pair enters it when it appears
-    and again when its partner appears.
+    heap of (domain key, domain) finds that pair: a pair enters it when it
+    appears and again when its partner appears. Live pairs are filed by
+    domain cell ints; only the heap reads keys, each computed at most once.
 
     The result depends on the presentation, not only on the map: merges
     compete for bricks, so two presentations of one map can reduce to
     different, equally irreducible presentations.
     """
-    live = {p.domain.sort_key(): p for p in f.pairs}
-    heap = list(live)
+    live = {p.domain.ints: p for p in f.pairs}
+    heap = [(p.domain.sort_key(), d) for d, p in live.items()]
     heapq.heapify(heap)
     while heap:
-        key = heapq.heappop(heap)
-        p = live.get(key)
+        d = heapq.heappop(heap)[1]
+        p = live.get(d)
         if p is None:
             continue
-        d, r = p.domain, p.range
+        r = p.range.ints
         for axis in reversed(range(f.dimension)):
             # Both cells must be lower children: a unit cell, 1, is odd too.
-            if (d.ints[axis] | r.ints[axis]) & 1:
+            if (d[axis] | r[axis]) & 1:
                 continue
-            partner = d.sibling(axis).sort_key()
+            partner = d[:axis] + (d[axis] | 1,) + d[axis + 1 :]
             q = live.get(partner)
-            if q is None or q.range != r.sibling(axis):
+            if q is None or q.range.ints != r[:axis] + (r[axis] | 1,) + r[axis + 1 :]:
                 continue
-            del live[key], live[partner]
-            joined = Pair(d.double(axis), r.double(axis))
-            key = joined.domain.sort_key()
-            live[key] = joined
-            heapq.heappush(heap, key)
-            for a, c in enumerate(joined.domain.ints):
-                if c & 1 and c != 1:
-                    lower = joined.domain.sibling(a).sort_key()
-                    if lower in live:
-                        heapq.heappush(heap, lower)
+            del live[d], live[partner]
+            d = d[:axis] + (d[axis] >> 1,) + d[axis + 1 :]
+            r = r[:axis] + (r[axis] >> 1,) + r[axis + 1 :]
+            joined = live[d] = Pair(Brick._of(d), Brick._of(r))
+            heapq.heappush(heap, (joined.domain.sort_key(), d))
+            for a, c in enumerate(d):
+                lower = c & 1 and c != 1 and live.get(d[:a] + (c ^ 1,) + d[a + 1 :])
+                if lower:
+                    heapq.heappush(heap, (lower.domain.sort_key(), lower.domain.ints))
             break
     return Element(f.dimension, list(live.values()))
 

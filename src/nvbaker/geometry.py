@@ -21,7 +21,7 @@ one-pass verifier in `elements`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -122,25 +122,30 @@ def cell_relation(a: Cell, b: Cell) -> CellRelation:
     return CellRelation.B_INSIDE_A if _inside(y, x) else CellRelation.DISJOINT
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class Brick:
     """Product of one dyadic cell per axis: a half-open box in [0,1)^n.
 
     `Brick(cells)` takes checked `Cell`s and stores one cell int per axis.
+    The sort key is computed at most once, on first use, and kept in `_key`;
+    equality and hashing read `ints` alone.
     """
 
     ints: tuple[int, ...]
+    _key: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, cells: Sequence[Cell]) -> None:
         if not cells:
             raise GeometryError("a brick needs at least one axis")
         object.__setattr__(self, "ints", tuple((1 << c.exponent) | c.numerator for c in cells))
+        object.__setattr__(self, "_key", None)
 
     @classmethod
     def _of(cls, ints: tuple[int, ...]) -> "Brick":
         """A brick from valid cell ints, as the library derives them: unchecked."""
         brick = object.__new__(cls)
         object.__setattr__(brick, "ints", ints)
+        object.__setattr__(brick, "_key", None)
         return brick
 
     @property
@@ -183,10 +188,6 @@ class Brick:
             raise GeometryError("the unit interval has no sibling")
         return self._with(axis, self.ints[axis] ^ 1)
 
-    def replace(self, axis: int, cell: Cell) -> "Brick":
-        self._at(axis)
-        return self._with(axis, (1 << cell.exponent) | cell.numerator)
-
     def contains_point(self, point: Sequence[Fraction]) -> bool:
         if len(point) != self.dimension:
             raise DimensionMismatchError(
@@ -200,11 +201,9 @@ class Brick:
 
     def sort_key(self) -> tuple[int, ...]:
         """Orders bricks as their cells' (lo, exponent) pairs do, axis by axis."""
-        key: tuple[int, ...] = ()
-        for c in self.ints:
-            e = c.bit_length() - 1
-            key += ((c ^ (1 << e)) << (MAX_EXPONENT - e), e)
-        return key
+        if self._key is None:
+            object.__setattr__(self, "_key", _sort_key(self.ints))
+        return self._key
 
     def __str__(self) -> str:
         return ",".join("{1}/2^{0}".format(*_cell_of(c)) for c in self.ints)
@@ -217,6 +216,15 @@ class Brick:
         if not 0 <= axis < self.dimension:
             raise GeometryError(f"axis {axis} out of range for dimension {self.dimension}")
         return self.ints[axis]
+
+
+def _sort_key(ints: tuple[int, ...]) -> tuple[int, ...]:
+    """`Brick.sort_key` of cell ints: each cell's scaled left end, then exponent."""
+    key: tuple[int, ...] = ()
+    for c in ints:
+        e = c.bit_length() - 1
+        key += ((c ^ (1 << e)) << (MAX_EXPONENT - e), e)
+    return key
 
 
 def _cell_of(c: int) -> tuple[int, int]:

@@ -5,26 +5,43 @@ on those ints. The references below work on `Cell` objects instead, as
 bricks once did: meets from the per-axis relation of (exponent, numerator)
 pairs, transport by the affine formula on those pairs, and halving,
 doubling and siblings by the `Cell` methods.
+
+A brick also keeps its sort key once computed. The tests at the end check
+that the kept key is invisible: to equality, hashing, printing, copying and
+pickling. They also count key computations through `geometry._sort_key`.
 """
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvbaker import (
     MAX_EXPONENT,
+    BakerSpec,
     Brick,
     Cell,
     CellRelation,
     ElementError,
     GeometryError,
     NvError,
+    Partition,
+    TranspositionSpec,
     brick_intersect,
     bricks_disjoint,
     cell_relation,
+    coarsen,
+    factor_baker,
+    is_transposition_form,
+    make_transposition,
     map_through,
+    unit_brick,
 )
+from nvbaker import geometry
 
 
 def reference_relation(a: Cell, b: Cell) -> CellRelation:
@@ -181,3 +198,76 @@ def test_steps_agree_with_the_cell_methods(pair, axis, step):
         assert outcome(lambda: getattr(b, step)(axis)) == outcome(
             lambda: reference_step(b, axis, step)
         )
+
+
+def built_bricks(b: Brick) -> list[Brick]:
+    """Bricks equal to b, or derived from it, through every way a brick is made."""
+    out = [Brick(b.cells), Brick._of(b.ints)]
+    for axis, c in enumerate(b.ints):
+        if c.bit_length() - 1 < MAX_EXPONENT:
+            out.extend(b.split(axis))
+        if c != 1:
+            out += [b.sibling(axis), b.double(axis)]
+    return out
+
+
+@settings(deadline=None)
+@given(brick_pairs())
+def test_kept_key_is_invisible(pair):
+    for b in pair:
+        fresh, keyed = built_bricks(b), built_bricks(b)
+        for k in keyed:
+            k.sort_key()
+        for x, y in zip(fresh, keyed):
+            assert x == y and hash(x) == hash(y)
+            assert repr(x) == repr(y) == f"Brick(ints={x.ints!r})"
+            assert str(x) == str(y)
+            assert x._key is None and y._key is not None
+            # A kept key equals one computed afresh from the cells.
+            assert y.sort_key() == x.sort_key() == geometry._sort_key(Brick(y.cells).ints)
+            for z in (copy.deepcopy(x), copy.deepcopy(y), *pickle.loads(pickle.dumps((x, y)))):
+                assert z == x and hash(z) == hash(x) and z.sort_key() == y.sort_key()
+
+
+def test_bricks_stay_frozen():
+    b = unit_brick(2).split(0)[1]
+    for keyed in (False, True):
+        if keyed:
+            b.sort_key()
+        for name in ("ints", "_key"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(b, name, (3, 1))
+    assert b.ints == (3, 1) and b.sort_key() == geometry._sort_key((3, 1))
+
+
+@pytest.fixture
+def key_count(monkeypatch):
+    """How many sort keys were computed since the fixture was set up."""
+    calls = [0]
+    compute = geometry._sort_key
+
+    def counted(ints):
+        calls[0] += 1
+        return compute(ints)
+
+    monkeypatch.setattr(geometry, "_sort_key", counted)
+    return calls
+
+
+def test_coarsening_a_built_irreducible_element_computes_no_key(key_count):
+    lower, upper = unit_brick(2).split(0)
+    a, b = lower.split(1)
+    t = make_transposition(TranspositionSpec(Partition([a, b, upper]), a, b))
+    key_count[0] = 0
+    assert coarsen(t).pairs == t.pairs
+    assert key_count[0] == 0
+
+
+def test_factoring_and_auditing_the_unit_square_key_count(key_count):
+    # Each brick's key is computed at most once, so these counts repeat
+    # exactly; 747 keys were computed before bricks kept them.
+    factors = factor_baker(BakerSpec(unit_brick(2), 0, 1)).word.factors
+    assert len(factors) == 31
+    assert key_count[0] == 98
+    assert all(is_transposition_form(f)[0] for f in factors)
+    assert key_count[0] == 112

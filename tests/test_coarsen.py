@@ -6,6 +6,9 @@ The reference scans below are those originals, kept verbatim in behaviour:
 sort, merge the first mergeable pair found, start over.
 """
 
+import hashlib
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +21,10 @@ from nvbaker import (
     coarsen,
     equals,
     factor_baker,
+    inverse,
     random_element,
     render_svg,
+    serialize_element,
     support,
     then,
     unit_brick,
@@ -163,3 +168,34 @@ def test_coarsening_is_not_confluent():
         2, (Pair(bottom, bottom), Pair(q01, q01), *swaps)
     ).pairs
     assert render_svg(from_quadrants) != render_svg(from_bottom)
+
+
+def coarsened_digest(elements) -> str:
+    h = hashlib.sha256()
+    for e in elements:
+        h.update(serialize_element(coarsen(e)).encode())
+    return h.hexdigest()
+
+
+def test_quarter_epsilon_factors_coarsen_as_pinned():
+    # Coarsening is not confluent, so the merge order is behaviour: these
+    # digests were taken from the sort-key-keyed worklist this one replaced.
+    factors = factor_baker(BakerSpec(unit_brick(2), 0, 1), Fraction(1, 4)).word.factors
+    assert len(factors) == 511
+    assert coarsened_digest(factors) == (
+        "c8b22c08f921ea762ae958ff040855188d2ee4f257ef6256301c9d89e9668571"
+    )
+
+
+def test_random_elements_coarsen_as_pinned():
+    def corpus():
+        for dim in range(1, 5):
+            for depth in (3, 5, 7):
+                for seed in range(40):
+                    e = random_element(RandomElementSpec(dim, depth, seed))
+                    yield e
+                    yield then(e, inverse(e))
+
+    assert coarsened_digest(corpus()) == (
+        "2a5a58e6801b7d364c72428beb3688dd1b09dcf9dee61e9b8bb1b86d39bcf047"
+    )
