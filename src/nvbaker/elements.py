@@ -16,7 +16,9 @@ whole partition. `product_equals` checks a word against a target without
 building the product: it carries pieces of the identity through the word,
 and then through the target's inverse, applying each factor only where it
 moves points, with the pieces found by their range cells in the same
-`geometry._RangeIndex` that serves `brick_meets`.
+`geometry._RangeIndex` that serves `brick_meets`. Each carried piece merges
+with its sibling pieces by `coarsen`'s rule, so the pass holds a reduced
+presentation of the prefix product, not the word's refinement.
 """
 
 from __future__ import annotations
@@ -52,6 +54,14 @@ class Pair:
             raise DimensionMismatchError(
                 f"pair mixes dimensions {self.domain.dimension} and {self.range.dimension}"
             )
+
+    @classmethod
+    def _of(cls, domain: Brick, range: Brick) -> "Pair":
+        """A pair of bricks of one dimension, as the library builds them: unchecked."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "domain", domain)
+        object.__setattr__(pair, "range", range)
+        return pair
 
     @property
     def is_identity(self) -> bool:
@@ -136,7 +146,7 @@ class Element:
 
 def identity(dimension: int) -> Element:
     cube = unit_brick(dimension)
-    return Element(dimension, (Pair(cube, cube),))
+    return Element(dimension, (Pair._of(cube, cube),))
 
 
 def then(f: Element, g: Element) -> Element:
@@ -151,12 +161,12 @@ def then(f: Element, g: Element) -> Element:
         pf, pg = f.pairs[i], g.pairs[j]
         dom = Brick._of(_carry(meet.ints, pf.range.ints, pf.domain.ints))
         rng = Brick._of(_carry(meet.ints, pg.domain.ints, pg.range.ints))
-        pairs.append(Pair(dom, rng))
+        pairs.append(Pair._of(dom, rng))
     return Element(f.dimension, pairs)
 
 
 def inverse(f: Element) -> Element:
-    return Element(f.dimension, [Pair(p.range, p.domain) for p in f.pairs])
+    return Element(f.dimension, [Pair._of(p.range, p.domain) for p in f.pairs])
 
 
 def apply_point(f: Element, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -217,7 +227,7 @@ def support(f: Element) -> tuple[Brick, ...]:
     overlap the moved set, so this is exact for elements in any
     presentation.
     """
-    moved = [Pair(p.domain, p.domain) for p in f.pairs if not p.is_identity]
+    moved = [Pair._of(p.domain, p.domain) for p in f.pairs if not p.is_identity]
     return tuple(p.domain for p in coarsen(Element(f.dimension, moved)).pairs)
 
 
@@ -257,7 +267,7 @@ def coarsen(f: Element) -> Element:
             del live[d], live[partner]
             d = d[:axis] + (d[axis] >> 1,) + d[axis + 1 :]
             r = r[:axis] + (r[axis] >> 1,) + r[axis + 1 :]
-            joined = live[d] = Pair(Brick._of(d), Brick._of(r))
+            joined = live[d] = Pair._of(Brick._of(d), Brick._of(r))
             heapq.heappush(heap, (joined.domain.sort_key(), d))
             for a, c in enumerate(d):
                 lower = c & 1 and c != 1 and live.get(d[:a] + (c ^ 1,) + d[a + 1 :])
@@ -330,19 +340,21 @@ def _product_pieces(word: Word, target: Element) -> list[_Piece]:
     Each such range is cut on every axis where it is coarser than d, one
     level at a time; the half missing d returns to the index, since a later
     pair of the same factor may move it. The part inside d is carried to r
-    by `_carry` and rejoins the index once the whole factor has been applied.
+    by `_carry` and rejoins the index, through `_merge_in`, once the whole
+    factor has been applied, so the pieces follow the reduced map rather
+    than the word's refinement.
     """
     cube = (1,) * word.dimension
-    index = _RangeIndex([cube])  # indexes the ranges; `domains` holds the rest
-    domains = {0: cube}
+    index = _RangeIndex([cube])  # indexes the ranges
+    live = {cube: (0, cube)}  # each piece's range: its id in the index, its domain
     for f in (*word.factors, inverse(target)):
         moved = []
         for p in f.pairs:
             if p.is_identity:
                 continue
             d, r = p.domain.ints, p.range.ints
-            for i, rng in index.pop_meeting(d):
-                dom, rng = list(domains.pop(i)), list(rng)
+            for _, rng in index.pop_meeting(d):
+                dom, rng = list(live.pop(rng)[1]), list(rng)
                 for a, (x, y) in enumerate(zip(rng, d)):
                     depth = y.bit_length() - x.bit_length()
                     if depth > 0:
@@ -350,10 +362,43 @@ def _product_pieces(word: Word, target: Element) -> list[_Piece]:
                         for j in reversed(range(depth)):
                             miss = ((y >> j) & 1) ^ 1
                             dom[a], rng[a] = (u << 1) | miss, (x << 1) | miss
-                            domains[index.add(tuple(rng))] = tuple(dom)
+                            half = tuple(rng)
+                            live[half] = (index.add(half), tuple(dom))
                             u, x = dom[a] ^ 1, rng[a] ^ 1
                         dom[a], rng[a] = u, x
                 moved.append((tuple(dom), _carry(tuple(rng), d, r)))
         for dom, rng in moved:
-            domains[index.add(rng)] = dom
-    return [(domains[i], rng) for i, rng in index.bricks.items()]
+            _merge_in(index, live, dom, rng)
+    return [(dom, rng) for rng, (_, dom) in live.items()]
+
+
+def _merge_in(
+    index: _RangeIndex,
+    live: dict[tuple[int, ...], tuple[int, tuple[int, ...]]],
+    dom: tuple[int, ...],
+    rng: tuple[int, ...],
+) -> None:
+    """File a piece, first merged with its live siblings for as long as one fits.
+
+    `coarsen`'s rule: a piece merges with the piece whose range is its
+    range's sibling along an axis a when that piece's domain is its
+    domain's sibling along a, lower range half carrying lower domain half.
+    The two are then one canonical affine piece, so the map is unchanged.
+    """
+    a = len(rng)
+    while a:
+        a -= 1
+        x, y = rng[a], dom[a]
+        # Both cells must be halves on the same side: a unit cell, 1, is odd too.
+        if x == 1 or y == 1 or (x ^ y) & 1:
+            continue
+        sibling = rng[:a] + (x ^ 1,) + rng[a + 1 :]
+        other = live.get(sibling)
+        if other is None or other[1] != dom[:a] + (y ^ 1,) + dom[a + 1 :]:
+            continue
+        index.remove(other[0])
+        del live[sibling]
+        rng = rng[:a] + (x >> 1,) + rng[a + 1 :]
+        dom = dom[:a] + (y >> 1,) + dom[a + 1 :]
+        a = len(rng)
+    live[rng] = (index.add(rng), dom)

@@ -84,7 +84,7 @@ def _complement(dimension: int, holes: list[Brick]) -> list[Brick]:
 def _swap(ambient: tuple[Brick, ...], a: Brick, b: Brick) -> Element:
     """The transposition of a and b inside `ambient`, built from a `_complement`."""
     image = {a: b, b: a}
-    return Element(a.dimension, [Pair(x, image.get(x, x)) for x in ambient])
+    return Element(a.dimension, [Pair._of(x, image.get(x, x)) for x in ambient])
 
 
 @dataclass(frozen=True)

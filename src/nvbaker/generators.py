@@ -44,7 +44,7 @@ def make_transposition(spec: TranspositionSpec) -> Element:
             f"ambient is not a partition: {'; '.join(report.problems)}"
         )
     image = {spec.a: spec.b, spec.b: spec.a}
-    pairs = [Pair(brick, image.get(brick, brick)) for brick in spec.ambient]
+    pairs = [Pair._of(brick, image.get(brick, brick)) for brick in spec.ambient]
     return Element(spec.ambient.dimension, pairs)
 
 
@@ -77,9 +77,9 @@ def make_baker(spec: BakerSpec) -> Element:
     """
     lo_i, hi_i = spec.support.split(spec.split_axis)
     lo_j, hi_j = spec.support.split(spec.merge_axis)
-    pairs = [Pair(lo_i, lo_j), Pair(hi_i, hi_j)]
+    pairs = [Pair._of(lo_i, lo_j), Pair._of(hi_i, hi_j)]
     for brick in peel_to_unit(spec.support):
-        pairs.append(Pair(brick, brick))
+        pairs.append(Pair._of(brick, brick))
     return Element(spec.dimension, pairs)
 
 

@@ -16,7 +16,8 @@ sorts by its left endpoint scaled by 2^MAX_EXPONENT, then by its exponent.
 One `_RangeIndex` over such bricks answers every "which bricks meet this
 one" question: `brick_meets` (composition, equality, refinement), the
 overlap check of `partition_validate` and `tile_complement`, and the
-one-pass verifier in `elements`.
+one-pass verifier in `elements`. It files brick ids as bits of int masks
+under each cell and its prefixes, and a query ANDs one mask per axis.
 """
 
 from __future__ import annotations
@@ -272,9 +273,9 @@ def brick_meets(
     result is unspecified. The bricks of xs go into a `_RangeIndex`, and
     each brick of ys asks it for the ids of the bricks it meets, so every
     meet is built once, by `brick_intersect`, and no failed candidate is.
-    A query gathers ids axis by axis, and ids nested on one axis may miss
-    on another, so the cost is not bounded by the number of meets: the
-    self-join of a chain of n nested splits over d axes costs about n^2 * d.
+    A query ORs one id mask per prefix of its cell on each axis and ANDs
+    the axes, so it costs its cells' total depth in mask operations, each
+    as wide as xs is long, plus one step per meet found.
     """
     if not xs or not ys:
         return []
@@ -303,71 +304,81 @@ class _RangeIndex:
 
     Two bricks meet exactly when their cells are nested on every axis, and
     two cell ints are nested exactly when one is a prefix, a right shift,
-    of the other. So per axis the index files each id twice: in `exact`
-    under its cell c, and in `under` under c and each prefix of c, from
-    ``c >> 1`` up to the unit cell 1. The ids nested with a cell h are then
-    ``under[h]``, the cells inside h, and ``exact`` at each proper prefix of
-    h, the cells around it. A query intersects these sets over the axes and
-    stops at the first empty one. A hashed dyadic trie in the spirit of
-    Finkel and Bentley's quad trees, searched one axis at a time.
+    of the other. So per axis the index files each id twice, as bit i of an
+    int mask: in `exact` under its cell c, and in `under` under c and each
+    prefix of c, from ``c >> 1`` up to the unit cell 1. The ids nested with
+    a cell h are then ``under[h]``, the cells inside h, and ``exact`` at each
+    proper prefix of h, the cells around it. A query ORs these masks on one
+    axis, ANDs the axes together and stops at the first empty one: a bitmap
+    index (O'Neil and Quass, SIGMOD 1997) over a hashed dyadic trie in the
+    spirit of Finkel and Bentley's quad trees.
 
-    Each id sits in one `under` set per level of each of its cells, at most
-    MAX_EXPONENT + 1 per axis, so the index holds O(bricks x total cell
-    depth) set entries. The bricks must be nonempty and of one dimension.
+    Ids are reused, so a mask is never wider than the most ids in use at
+    once. An id that `pop_meeting` or `remove` gives up comes back into use
+    only when the next `pop_meeting` starts, so a caller may add bricks
+    while it still holds the ids a pop returned. The index keeps one mask
+    per cell and prefix ever filed, at most MAX_EXPONENT + 1 per cell and
+    axis, and an emptied mask is the int 0. So its memory grows with the
+    distinct cells filed times the ids in use, not with each brick's cell
+    depth. The bricks must be nonempty and of one dimension.
     """
 
     def __init__(self, bricks: Sequence[tuple[int, ...]]) -> None:
         self.bricks: dict[int, tuple[int, ...]] = {}
-        self.next_id = 0
-        self.axes: list[tuple[dict[int, set[int]], dict[int, set[int]]]] = [
-            ({}, {}) for _ in bricks[0]
-        ]
+        self.free: list[int] = []  # ids ready for reuse
+        self.held: list[int] = []  # ids given up since the last pop
+        self.axes: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}) for _ in bricks[0]]
         for b in bricks:
             self.add(b)
 
     def add(self, b: tuple[int, ...]) -> int:
         """Index one more brick and return its id."""
-        i = self.next_id
-        self.next_id += 1
+        i = self.free.pop() if self.free else len(self.bricks) + len(self.held)
         self.bricks[i] = b
+        bit = 1 << i
         for (exact, under), c in zip(self.axes, b):
-            exact.setdefault(c, set()).add(i)
+            exact[c] = exact.get(c, 0) | bit
             while c:
-                under.setdefault(c, set()).add(i)
+                under[c] = under.get(c, 0) | bit
                 c >>= 1
         return i
 
     def meeting(self, d: tuple[int, ...]) -> set[int]:
         """The ids of the indexed bricks that meet brick d."""
-        axes = iter(zip(self.axes, d))
-        found = self._nested(*next(axes))
-        for axis, h in axes:
+        found = -1  # every id, until an axis narrows it
+        for (exact, under), h in zip(self.axes, d):
+            nested = under.get(h, 0)
+            h >>= 1
+            while h:
+                nested |= exact.get(h, 0)
+                h >>= 1
+            found &= nested
             if not found:
-                break
-            found &= self._nested(axis, h)
-        return found
+                return set()
+        ids = set()
+        while found:
+            low = found & -found
+            ids.add(low.bit_length() - 1)
+            found ^= low
+        return ids
 
     def pop_meeting(self, d: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         """Remove every brick that meets d; return them with their ids."""
-        out = []
-        for i in self.meeting(d):
-            b = self.bricks.pop(i)
-            for (exact, under), c in zip(self.axes, b):
-                exact[c].discard(i)
-                while c:
-                    under[c].discard(i)
-                    c >>= 1
-            out.append((i, b))
-        return out
+        self.free += self.held
+        self.held = []
+        return [(i, self.remove(i)) for i in self.meeting(d)]
 
-    @staticmethod
-    def _nested(axis: tuple[dict[int, set[int]], dict[int, set[int]]], h: int) -> set[int]:
-        """Ids of the bricks whose cell on this axis is nested with cell h."""
-        exact, under = axis
-        nested = set(under.get(h, ()))
-        for k in range(1, h.bit_length()):
-            nested.update(exact.get(h >> k, ()))
-        return nested
+    def remove(self, i: int) -> tuple[int, ...]:
+        """Remove the brick with id i and return it."""
+        b = self.bricks.pop(i)
+        self.held.append(i)
+        bit = 1 << i
+        for (exact, under), c in zip(self.axes, b):
+            exact[c] ^= bit
+            while c:
+                under[c] ^= bit
+                c >>= 1
+        return b
 
 
 @dataclass(frozen=True)

@@ -200,4 +200,4 @@ def random_element(spec: RandomElementSpec) -> Element:
 
     # Both sides come from halving the cube, so they partition it.
     rng.shuffle(ranges)
-    return Element(spec.dimension, tuple(Pair(d, r) for d, r in zip(domain, ranges)))
+    return Element(spec.dimension, tuple(Pair._of(d, r) for d, r in zip(domain, ranges)))

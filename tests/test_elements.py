@@ -33,7 +33,9 @@ from nvbaker import (
     then,
     unit_brick,
 )
+from nvbaker import elements
 from nvbaker.elements import _product_pieces
+from nvbaker.factorization import factor_baker
 
 from conftest import brick, element_image, grid_points
 
@@ -419,3 +421,47 @@ class TestProductEquals:
         assert len(refined) > len(b)
         assert product_equals(Word(2, (b,)), refined)
         assert product_equals(Word(2, (refined, inverse(b))), identity(2))
+
+    def test_merges_only_sibling_domains_lower_onto_lower(self):
+        # Swapping the halves of [0,1) moves two pieces with sibling
+        # domains and sibling ranges, but lower onto upper: no merge.
+        swap = Element.from_pairs(
+            [Pair(brick("0/2^1"), brick("1/2^1")), Pair(brick("1/2^1"), brick("0/2^1"))]
+        )
+        word = Word(1, (swap,))
+        assert not product_equals(word, identity(1))
+        assert sorted(_product_pieces(word, identity(1))) == [((2,), (3,)), ((3,), (2,))]
+        # [3/4,1) lands on [1/4,1/2), the range sibling of the fixed [0,1/4)
+        # and on the same side, but the two domains are not siblings.
+        g = Element.from_pairs(
+            [
+                Pair(brick("0/2^2"), brick("0/2^2")),
+                Pair(brick("1/2^2"), brick("2/2^2")),
+                Pair(brick("2/2^2"), brick("3/2^2")),
+                Pair(brick("3/2^2"), brick("1/2^2")),
+            ]
+        )
+        assert product_equals(Word(1, (g,)), g)
+        pieces = _product_pieces(Word(1, (g,)), identity(1))
+        assert sorted(pieces) == sorted((p.domain.ints, p.range.ints) for p in g.pairs)
+        # A baker and its inverse leave two halves mapped to themselves,
+        # which merge back into the cube.
+        b = unit_baker()
+        assert _product_pieces(Word(2, (b, inverse(b))), identity(2)) == [((1, 1), (1, 1))]
+
+    def test_verifier_carries_the_reduced_map(self, monkeypatch):
+        # An exact work count: the most pieces the one-pass check of the
+        # eps = 1/16 word holds at once. 32 are measured; without merging
+        # it would hold the word's refinement, 5,120 pieces.
+        peak = [0]
+
+        class Counted(elements._RangeIndex):
+            def add(self, b):
+                i = super().add(b)
+                peak[0] = max(peak[0], len(self.bricks))
+                return i
+
+        monkeypatch.setattr(elements, "_RangeIndex", Counted)
+        report = factor_baker(BakerSpec(unit_brick(2), 0, 1), Fraction(1, 16))
+        assert report.verified and len(report.word) == 8191
+        assert peak[0] <= 64
