@@ -126,14 +126,19 @@ class Element:
         for p in items:
             if p.domain.dimension != dim:
                 raise DimensionMismatchError("pairs of mixed dimensions")
+        passed = None  # a range with the domain's multiset of bricks is checked once
         for side, bricks in (
             ("domain", [p.domain for p in items]),
             ("range", [p.range for p in items]),
         ):
+            key = _multiset(bricks)
+            if key == passed:
+                continue
             report = partition_validate(bricks)
             if not report:
                 detail = "; ".join(report.problems)
                 raise ElementError(f"{side} bricks do not partition the cube: {detail}")
+            passed = key
         return Element(dim, items)
 
     @property
@@ -142,6 +147,11 @@ class Element:
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+
+def _multiset(bricks: Iterable[Brick]) -> tuple[tuple[int, ...], ...]:
+    """The bricks' cell ints, sorted: equal exactly when the bricks are, counting repeats."""
+    return tuple(sorted(b.ints for b in bricks))
 
 
 def identity(dimension: int) -> Element:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ElementError, GeometryError, NvError, ParseError, PartitionError
+from .errors import ElementError, NvError, ParseError, PartitionError
 from .geometry import (
     MAX_DIMENSION,
     MAX_EXPONENT,
@@ -41,7 +41,7 @@ from .geometry import (
     partition_validate,
     unit_brick,
 )
-from .elements import Element, Pair, Word
+from .elements import Element, Pair, Word, _multiset
 
 _CELL_RE = re.compile(r"(\d+)/2\^(\d+)")
 _HEADER_RE = re.compile(r"NV\s+(\d+)\s*$")
@@ -97,20 +97,22 @@ def _parse_cell(text: str, line: int, column: int) -> Cell:
     exponent, numerator = _int(m.group(2), line, column), _int(m.group(1), line, column)
     try:
         return Cell(exponent, numerator)
-    except GeometryError as exc:
+    except NvError as exc:  # the cell's exponent or numerator is out of range
         raise ParseError(f"semantic error: {exc}", line, column) from exc
 
 
 def _parse_brick(
-    text: str, line: int, dimension: int | None, base_column: int = 1
+    text: str, line: int, dimension: int | None, base_column: int, seen: dict[str, Brick]
 ) -> Brick:
-    parts = text.split(",")
-    cells = []
-    column = base_column
-    for part in parts:
-        cells.append(_parse_cell(part, line, column))
-        column += len(part) + 1
-    brick = Brick(tuple(cells))
+    """A side's brick, its text parsed once per `seen`; the header is checked every time."""
+    brick = seen.get(text)
+    if brick is None:
+        cells = []
+        column = base_column
+        for part in text.split(","):
+            cells.append(_parse_cell(part, line, column))
+            column += len(part) + 1
+        brick = seen[text] = Brick(tuple(cells))
     if dimension is not None and brick.dimension != dimension:
         raise ParseError(
             f"semantic error: brick has {brick.dimension} axes, header says {dimension}",
@@ -121,7 +123,7 @@ def _parse_brick(
 
 def parse_brick(text: str, dimension: int | None = None) -> Brick:
     """A standalone brick, e.g. ``0/2^1,0/2^0``."""
-    return _parse_brick(text.strip(), 1, dimension)
+    return _parse_brick(text.strip(), 1, dimension, 1, {})
 
 
 def _parse_header(lines: list[Line]) -> int:
@@ -139,7 +141,8 @@ def _parse_header(lines: list[Line]) -> int:
     return dimension
 
 
-def _parse_element_lines(lines: list[Line]) -> Element:
+def _parse_element_lines(lines: list[Line], seen: dict[str, Brick], passed: set) -> Element:
+    """One element block, checked unless `passed` holds both its sides' `_multiset`s."""
     dimension = _parse_header(lines)
     pairs = []
     for number, content, indent in lines[1:]:
@@ -149,23 +152,36 @@ def _parse_element_lines(lines: list[Line]) -> Element:
                 "syntax error: expected one '->' between domain and range bricks",
                 number,
             )
-        domain = _parse_brick(sides[0], number, dimension, indent + 1)
-        range_ = _parse_brick(sides[1], number, dimension, indent + len(sides[0]) + 3)
-        pairs.append(Pair(domain, range_))
+        domain = _parse_brick(sides[0], number, dimension, indent + 1, seen)
+        range_ = _parse_brick(sides[1], number, dimension, indent + len(sides[0]) + 3, seen)
+        pairs.append(Pair._of(domain, range_))
+    keys = {_multiset(p.domain for p in pairs), _multiset(p.range for p in pairs)}
+    if keys <= passed:
+        return Element(dimension, pairs)
     try:
-        return Element.from_pairs(pairs)
+        element = Element.from_pairs(pairs)
     except (ElementError, PartitionError) as exc:
         raise ParseError(f"semantic error: {exc}") from exc
+    passed |= keys
+    return element
 
 
 def parse_element(text: str) -> Element:
-    return _parse_element_lines(_significant_lines(text))
+    return _parse_element_lines(_significant_lines(text), {}, set())
+
+
+def _element_text(e: Element, texts: dict[tuple[int, ...], str]) -> str:
+    """`serialize_element`, building each brick's text once per `texts`."""
+    def text(b: Brick) -> str:
+        return texts.get(b.ints) or texts.setdefault(b.ints, str(b))
+
+    lines = [f"NV {e.dimension}"]
+    lines.extend(f"{text(p.domain)} -> {text(p.range)}" for p in e.pairs)
+    return "\n".join(lines) + "\n"
 
 
 def serialize_element(e: Element) -> str:
-    lines = [f"NV {e.dimension}"]
-    lines.extend(f"{p.domain} -> {p.range}" for p in e.pairs)
-    return "\n".join(lines) + "\n"
+    return _element_text(e, {})
 
 
 def parse_word(text: str) -> Word:
@@ -179,7 +195,8 @@ def parse_word(text: str) -> Word:
     blocks = [b for b in blocks if b]
     if not blocks:
         raise ParseError("syntax error: empty word file")
-    factors = [_parse_element_lines(b) for b in blocks]
+    seen, passed = {}, set()  # shared by the blocks: see _parse_element_lines
+    factors = [_parse_element_lines(b, seen, passed) for b in blocks]
     dimension = factors[0].dimension
     for f in factors[1:]:
         if f.dimension != dimension:
@@ -192,15 +209,17 @@ def parse_word(text: str) -> Word:
 def serialize_word(word: Word) -> str:
     if not word.factors:
         raise NvError("cannot serialize an empty word")
-    return "--\n".join(serialize_element(f) for f in word.factors)
+    texts: dict[tuple[int, ...], str] = {}
+    return "--\n".join(_element_text(f, texts) for f in word.factors)
 
 
 def parse_partition(text: str) -> tuple[int, list[Brick]]:
     """A partition file; returns (dimension, bricks in file order)."""
     lines = _significant_lines(text)
     dimension = _parse_header(lines)
+    seen: dict[str, Brick] = {}
     bricks = [
-        _parse_brick(content, number, dimension, indent + 1)
+        _parse_brick(content, number, dimension, indent + 1, seen)
         for number, content, indent in lines[1:]
     ]
     report = partition_validate(bricks)

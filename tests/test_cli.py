@@ -519,6 +519,24 @@ def test_non_utf8_file_fails_closed(run, tmp_path, argv):
     assert sorted(os.listdir(tmp_path)) == files
 
 
+BAD_WORDS = {
+    "broken_second_block": BAKER_TEXT + "--\n" + BAKER_TEXT.replace("0,1/2^1", "0,5/2^1"),
+    "mixed_dimensions": BAKER_TEXT + "--\n" + serialize_element(identity(3)),
+    "not_utf8": BAKER_TEXT + "--\n\udcff\udcfe\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_WORDS.values(), ids=BAD_WORDS.keys())
+def test_verify_bad_word_fails_closed(run, tmp_path, baker_file, text):
+    word = tmp_path / "w.nvw"
+    word.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code, stdout, err = run("verify", str(word), baker_file)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert stdout == ""
+
+
 class TestUsageErrors:
     def test_no_arguments(self, run):
         assert run()[0] == 2

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from nvbaker import (
     BakerSpec,
+    Brick,
     Element,
     NvError,
     Pair,
@@ -33,6 +35,8 @@ from nvbaker import (
     serialize_word,
     unit_brick,
 )
+
+from nvbaker import elements, formats, geometry
 
 from conftest import brick
 
@@ -411,3 +415,270 @@ class TestLoadElement:
     def test_arrow_inside_comment_does_not_trigger_trees(self):
         text = "# not a tree: a => b\n" + BAKER_TEXT
         assert load_element(text) == parse_element(BAKER_TEXT)
+
+
+# A word repeats its bricks and partitions: parsing, checking and printing
+# are done once per distinct brick text, multiset of bricks and brick.
+QUARTER_WORD_SHA256 = "80ab210dba57c9315b79eec1cb5aab70a45ce139258150588e60f98c5ebb4e6e"
+
+
+@pytest.fixture(scope="module")
+def quarter_word():
+    return factor_baker(BakerSpec(unit_brick(2), 0, 1), Fraction(1, 4)).word
+
+
+def count_calls(monkeypatch, name, *owners):
+    """Wrap `name` in each owner (the modules binding it) and count its calls."""
+    original, calls = getattr(owners[0], name), [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_parse_word_checks_each_distinct_partition_once(monkeypatch, quarter_word):
+    text = serialize_word(quarter_word)
+    validations = count_calls(monkeypatch, "partition_validate", geometry, elements, formats)
+    cells = count_calls(monkeypatch, "_parse_cell", formats)
+    assert parse_word(text) == quarter_word
+    sides = {
+        tuple(sorted(b.ints for b in bricks))
+        for f in quarter_word.factors
+        for bricks in ([p.domain for p in f.pairs], [p.range for p in f.pairs])
+    }
+    assert len(sides) == 239
+    assert validations[0] <= len(sides)  # 1,022 with both sides of every factor checked
+    assert cells[0] <= 1544  # 17,912 with every side's text parsed
+
+
+def test_serialize_word_formats_each_distinct_brick_once(monkeypatch, quarter_word):
+    texts = count_calls(monkeypatch, "__str__", Brick)
+    text = serialize_word(quarter_word)
+    assert texts[0] == 386  # 8,956 bricks in all
+    assert hashlib.sha256(text.encode()).hexdigest() == QUARTER_WORD_SHA256
+
+
+A, B, C = "0/2^1,0/2^0", "1/2^1,0/2^1", "1/2^1,1/2^1"
+THREE_TEXT = f"NV 2\n{A} -> {A}\n{B} -> {C}\n{C} -> {B}\n"
+TWO_BAKERS_TEXT = BAKER_TEXT + "--\n" + BAKER_TEXT
+BAD_BAKER_TEXT = BAKER_TEXT.replace("0/2^0,1/2^1", "0/2^0,3/2^1")
+
+# (type, message, line, column) of each broken file's error, as the parser
+# gave them before it shared parses and checks between occurrences.
+BROKEN_FILES = {
+    "bad_cell_in_block_3": (
+        parse_word,
+        TWO_BAKERS_TEXT + f"--\nNV 2\n{A} -> 0/2^0,0/2^1\n1/2^1,0/2^0 -> 0/2^0,2/2^1\n",
+        ("ParseError", "semantic error: cell numerator 2 out of range for exponent 1", 11, 22),
+    ),
+    "bad_domain_syntax_in_block_3": (
+        parse_word,
+        TWO_BAKERS_TEXT + f"--\nNV 2\n{A} -> 0/2^0,0/2^1\n1/2^1,0/2^0;x -> 0/2^0,1/2^1\n",
+        (
+            "ParseError",
+            "syntax error: expected cell 'numerator/2^exponent', got '0/2^0;x'",
+            11,
+            7,
+        ),
+    ),
+    "indented_bad_cell_after_seen_text": (
+        parse_word,
+        BAKER_TEXT + f"--\nNV 2\n   {A} ->  0/2^0,4/2^2\n1/2^1,0/2^0 -> 0/2^0,1/2^1\n",
+        ("ParseError", "semantic error: cell numerator 4 out of range for exponent 2", 6, 26),
+    ),
+    "nv2_text_in_nv3_block": (
+        parse_word,
+        BAKER_TEXT + f"--\nNV 3\n{A} -> 0/2^0,0/2^1\n",
+        ("ParseError", "semantic error: brick has 2 axes, header says 3", 6, None),
+    ),
+    "nv2_range_text_in_nv3_block": (
+        parse_word,
+        BAKER_TEXT + f"--\nNV 3\n{A},0/2^0 -> 0/2^0,0/2^1\n",
+        ("ParseError", "semantic error: brick has 2 axes, header says 3", 6, None),
+    ),
+    "overlapping_range_after_domain_passed": (
+        parse_word,
+        BAKER_TEXT + f"--\nNV 2\n{A} -> 0/2^0,0/2^1\n1/2^1,0/2^0 -> 0/2^0,0/2^0\n",
+        (
+            "ParseError",
+            "semantic error: range bricks do not partition the cube: bricks overlap: "
+            "0/2^0,0/2^1 and 0/2^0,0/2^0; total measure is 3/2, expected 1",
+            None,
+            None,
+        ),
+    ),
+    "overlapping_domain_after_range_passed": (
+        parse_word,
+        BAKER_TEXT + f"--\nNV 2\n0/2^0,0/2^0 -> 0/2^0,0/2^1\n{A} -> 0/2^0,1/2^1\n",
+        (
+            "ParseError",
+            "semantic error: domain bricks do not partition the cube: bricks overlap: "
+            "0/2^0,0/2^0 and 0/2^1,0/2^0; total measure is 3/2, expected 1",
+            None,
+            None,
+        ),
+    ),
+    "repeated_domain_brick_after_partition_passed": (
+        parse_word,
+        THREE_TEXT + f"--\nNV 2\n{A} -> {A}\n{A} -> {A}\n{B} -> {B}\n{C} -> {C}\n",
+        (
+            "ParseError",
+            "semantic error: domain bricks do not partition the cube: bricks overlap: "
+            "0/2^1,0/2^0 and 0/2^1,0/2^0; total measure is 3/2, expected 1",
+            None,
+            None,
+        ),
+    ),
+    "same_bad_cell_in_two_blocks": (
+        parse_word,
+        BAD_BAKER_TEXT + "--\n" + BAD_BAKER_TEXT,
+        ("ParseError", "semantic error: cell numerator 3 out of range for exponent 1", 3, 22),
+    ),
+    "header_only_block": (
+        parse_word,
+        BAKER_TEXT + "--\nNV 2\n--\n" + BAKER_TEXT,
+        ("ParseError", "semantic error: an element needs at least one pair", None, None),
+    ),
+    "mixed_dimensions_after_valid_blocks": (
+        parse_word,
+        BAKER_TEXT + "--\nNV 3\n0/2^0,0/2^0,0/2^0 -> 0/2^0,0/2^0,0/2^0\n",
+        ("ParseError", "semantic error: word mixes dimensions 2 and 3", None, None),
+    ),
+    "element_repeated_text": (
+        parse_element,
+        f"NV 2\n{A} -> {A}\n{A} -> {A}\n{B} -> {B}\n{C} -> {C}\n",
+        (
+            "ParseError",
+            "semantic error: domain bricks do not partition the cube: bricks overlap: "
+            "0/2^1,0/2^0 and 0/2^1,0/2^0; total measure is 3/2, expected 1",
+            None,
+            None,
+        ),
+    ),
+    "partition_repeated_line": (
+        parse_partition,
+        f"NV 2\n{A}\n{B}\n{A}\n{C}\n",
+        (
+            "ParseError",
+            "semantic error: bricks overlap: 0/2^1,0/2^0 and 0/2^1,0/2^0; "
+            "total measure is 3/2, expected 1",
+            None,
+            None,
+        ),
+    ),
+    "partition_text_seen_under_wrong_header": (
+        parse_partition,
+        f"NV 3\n{A},0/2^0\n{A}\n",
+        ("ParseError", "semantic error: brick has 2 axes, header says 3", 3, None),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "parse, text, expected", BROKEN_FILES.values(), ids=BROKEN_FILES.keys()
+)
+def test_broken_files_fail_as_before(parse, text, expected):
+    with pytest.raises(NvError) as info:
+        parse(text)
+    error = info.value
+    assert (type(error).__name__, error.message, error.line, error.column) == expected
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, column",
+    [
+        (parse_element, "NV 1\n0/2^65 -> 0/2^0\n", 2, 1),
+        (parse_word, BAKER_TEXT + "--\nNV 2\n0/2^1,0/2^0 -> 0/2^0,0/2^65\n", 6, 22),
+        (parse_partition, "NV 1\n1/2^99\n", 2, 1),
+    ],
+)
+def test_exponent_past_the_limit_fails_at_its_position(parse, text, line, column):
+    with pytest.raises(ParseError, match="exceeds the limit 64") as info:
+        parse(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+# Parser fuzzing: valid texts of every syntax, mutated.
+FACTORED_WORDS = [
+    factor_baker(BakerSpec(brick(support), 0, 1)).word
+    for support in ("0/2^0,0/2^0", "1/2^1,2/2^2")
+]
+
+
+@st.composite
+def words(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FACTORED_WORDS))
+    dimension = draw(st.integers(1, 3))
+    shapes = draw(st.lists(st.tuples(st.integers(0, 4), seeds), min_size=1, max_size=4))
+    factors = tuple(random_element(RandomElementSpec(dimension, d, s)) for d, s in shapes)
+    return Word(dimension, factors)
+
+
+@st.composite
+def valid_texts(draw):
+    kind = draw(st.sampled_from(("element", "word", "tree")))
+    if kind == "word":
+        return serialize_word(draw(words()))
+    dimension = draw(st.integers(1, 3))
+    if kind == "element":
+        spec = RandomElementSpec(dimension, draw(st.integers(0, 4)), draw(seeds))
+        return serialize_element(random_element(spec))
+    leaves = draw(st.integers(1, 12))
+    labels = draw(st.permutations(range(leaves)))
+    domain = draw(split_trees(leaves, dimension)).format(*range(leaves))
+    return f"{domain} =>\n{draw(split_trees(leaves, dimension)).format(*labels)}\n"
+
+
+FUZZ_CHARACTERS = "0123456789/^,-> \n#NVSL()=x"
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid text with characters or lines deleted, duplicated or replaced,
+    or two ``--`` blocks swapped."""
+    text = draw(valid_texts())
+    for _ in range(draw(st.integers(1, 4))):
+        unit = draw(st.sampled_from(("character", "line", "block")))
+        separator = {"character": "", "line": "\n", "block": "--\n"}[unit]
+        pieces = list(text) if unit == "character" else text.split(separator)
+        if not pieces:
+            continue
+        i, j = (draw(st.integers(0, len(pieces) - 1)) for _ in range(2))
+        edit = draw(st.sampled_from(("delete", "duplicate", "replace")))
+        if unit == "block":
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+        elif edit == "delete":
+            del pieces[i]
+        elif edit == "duplicate":
+            pieces.insert(i, pieces[i])
+        elif unit == "character":
+            pieces[i] = draw(st.sampled_from(FUZZ_CHARACTERS))
+        else:
+            pieces[i] = pieces[j]
+        text = separator.join(pieces)
+    return text
+
+
+@settings(deadline=None, max_examples=200)
+@given(mutated_texts())
+def test_parsers_raise_only_parse_errors(text):
+    for parse in (parse_element, parse_word, parse_tree_pair, load_element):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+@settings(deadline=None, max_examples=50)
+@given(words())
+def test_words_round_trip_factor_by_factor(word):
+    back = parse_word(serialize_word(word))
+    assert back.dimension == word.dimension
+    assert len(back.factors) == len(word.factors)
+    for got, want in zip(back.factors, word.factors):
+        assert got == want
