@@ -6,6 +6,8 @@ families, and factors any baker's map into a machine-verified word of
 proper transpositions.
 """
 
+from types import ModuleType as _Module
+
 from .errors import (
     DimensionMismatchError,
     ElementError,
@@ -94,76 +96,8 @@ from .svg import render_svg
 
 __version__ = "0.1.0"
 
+# Every name imported above is public; the submodules are not.
 __all__ = [
-    "MAX_DIMENSION",
-    "MAX_EXPONENT",
-    "BakerSpec",
-    "Brick",
-    "Cell",
-    "CellRelation",
-    "DimensionMismatchError",
-    "Element",
-    "ElementError",
-    "ExponentLimitError",
-    "FactorizationError",
-    "FactorizationReport",
-    "GeometryError",
-    "GridSpec",
-    "Lcg64",
-    "NvError",
-    "Pair",
-    "ParseError",
-    "Partition",
-    "PartitionError",
-    "RandomElementSpec",
-    "RenderError",
-    "ResolutionError",
-    "ShrinkResult",
-    "TranspositionSpec",
-    "ValidationReport",
-    "Word",
-    "apply_point",
-    "brick_intersect",
-    "brick_meets",
-    "bricks_disjoint",
-    "cancel_disjoint_pair",
-    "cell_relation",
-    "coarsen",
-    "common_refinement",
-    "equals",
-    "equals_witness",
-    "factor_baker",
-    "factor_small_baker",
-    "grid_equals",
-    "grid_witness",
-    "identity",
-    "inverse",
-    "is_baker_form",
-    "is_transposition_form",
-    "load_element",
-    "make_baker",
-    "make_transposition",
-    "map_through",
-    "parse_brick",
-    "parse_dyadic",
-    "parse_element",
-    "parse_partition",
-    "parse_tree_pair",
-    "parse_word",
-    "partition_validate",
-    "peel_to_unit",
-    "product_equals",
-    "random_element",
-    "render_svg",
-    "serialize_element",
-    "serialize_partition",
-    "serialize_word",
-    "shrink",
-    "split_baker",
-    "support",
-    "tile_complement",
-    "then",
-    "unit_brick",
-    "unit_partition",
-    "verify_word",
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _Module)
 ]

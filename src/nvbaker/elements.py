@@ -11,12 +11,17 @@ Pair transport never leaves integer arithmetic. On cell ints (see
 at x ^ ((y ^ z) << depth), depth being how much finer x is than y: the bits
 below y's are kept and y's prefix is replaced by z's.
 
-`Word.product` folds the word with `then`, refining against every factor's
-whole partition. `product_equals` checks a word against a target without
-building the product: it carries pieces of the identity through the word,
-and then through the target's inverse, applying each factor only where it
-moves points, with the pieces found by their range cells in the same
-`geometry._RangeIndex` that serves `brick_meets`. Each carried piece merges
+`then`, `equals_witness` and `Word.product` run on pieces, a pair's
+(domain, range) cell ints: they take the meets from `geometry._meets`,
+carry them with `_carry`, and build `Brick`s, `Pair`s and the sorted
+`Element` once, from the final pieces. `Word.product` is the balanced fold
+of `then` on pieces, refining against every factor's whole partition.
+
+`product_equals` checks a word against a target without building the
+product: it carries pieces of the identity through the word, and then
+through the target's inverse, applying each factor only where it moves
+points, with the pieces found by their range cells in the same
+`geometry._RangeIndex` that serves `_meets`. Each carried piece merges
 with its sibling pieces by `coarsen`'s rule, so the pass holds a reduced
 presentation of the prefix product, not the word's refinement.
 """
@@ -35,8 +40,9 @@ from .geometry import (
     Partition,
     brick_intersect,  # noqa: F401 (kept importable as nvbaker.elements.brick_intersect)
     _RangeIndex,
+    _meets,
+    _sort_key,
     _total_measure,
-    brick_meets,
     partition_validate,
     unit_brick,
 )
@@ -89,6 +95,8 @@ def _carry(sub: tuple[int, ...], src: tuple[int, ...], dst: tuple[int, ...]) -> 
     A carried cell can be finer than every operand's, so it is refused past
     the exponent limit here, as `Cell` refuses one.
     """
+    if sub == src:  # the whole of src lands on the whole of dst
+        return dst
     image = tuple(
         x ^ ((y ^ z) << (x.bit_length() - y.bit_length())) for x, y, z in zip(sub, src, dst)
     )
@@ -165,14 +173,31 @@ def then(f: Element, g: Element) -> Element:
         raise DimensionMismatchError(
             f"cannot compose elements of dimensions {f.dimension} and {g.dimension}"
         )
-    pairs = []
-    for i, j, meet in brick_meets([p.range for p in f.pairs], [p.domain for p in g.pairs]):
-        # The meet lies inside both operands, so it is carried unchecked.
-        pf, pg = f.pairs[i], g.pairs[j]
-        dom = Brick._of(_carry(meet.ints, pf.range.ints, pf.domain.ints))
-        rng = Brick._of(_carry(meet.ints, pg.domain.ints, pg.range.ints))
-        pairs.append(Pair._of(dom, rng))
-    return Element(f.dimension, pairs)
+    return _element(f.dimension, _then(_pieces(f), _pieces(g)))
+
+
+_Piece = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _pieces(f: Element) -> list[_Piece]:
+    """The element's pairs as (domain, range) cell ints."""
+    return [(p.domain.ints, p.range.ints) for p in f.pairs]
+
+
+def _element(dimension: int, pieces: Iterable[_Piece]) -> Element:
+    """The element of pieces derived inside the library: built unchecked."""
+    return Element(dimension, [Pair._of(Brick._of(d), Brick._of(r)) for d, r in pieces])
+
+
+def _then(f: Sequence[_Piece], g: Sequence[_Piece]) -> list[_Piece]:
+    """`then` on pieces: each meet of an f range and a g domain, carried back and on.
+
+    The meet lies inside both operands, so it is carried unchecked.
+    """
+    return [
+        (_carry(meet, f[i][1], f[i][0]), _carry(meet, g[j][0], g[j][1]))
+        for i, j, meet in _meets([r for _, r in f], [d for d, _ in g])
+    ]
 
 
 def inverse(f: Element) -> Element:
@@ -215,17 +240,18 @@ def equals_witness(f: Element, g: Element) -> tuple[Fraction, ...] | None:
         raise DimensionMismatchError(
             f"cannot compare elements of dimensions {f.dimension} and {g.dimension}"
         )
-    meets = brick_meets([p.domain for p in f.pairs], [p.domain for p in g.pairs])
+    fp, gp = _pieces(f), _pieces(g)
+    meets = _meets([d for d, _ in fp], [d for d, _ in gp])
     meets.sort(key=lambda m: (m[0], m[1]))
     for i, j, piece in meets:
-        pf, pg = f.pairs[i], g.pairs[j]
-        fi = Brick._of(_carry(piece.ints, pf.domain.ints, pf.range.ints))
-        gi = Brick._of(_carry(piece.ints, pg.domain.ints, pg.range.ints))
+        fi, gi = _carry(piece, *fp[i]), _carry(piece, *gp[j])
         if fi == gi:
             continue
-        if any(cf.lo != cg.lo for cf, cg in zip(fi.cells, gi.cells)):
-            return tuple(c.lo for c in piece.cells)
-        return tuple(c.lo + c.length / 2 for c in piece.cells)
+        cells = Brick._of(piece).cells
+        # A sort key holds each cell's scaled left end, then its exponent.
+        if _sort_key(fi)[::2] != _sort_key(gi)[::2]:
+            return tuple(c.lo for c in cells)
+        return tuple(c.lo + c.length / 2 for c in cells)
     return None
 
 
@@ -311,14 +337,17 @@ class Word:
         """
         if not self.factors:
             return identity(self.dimension)
-        return _fold(self.factors, 0, len(self.factors))
+        if len(self.factors) == 1:
+            return self.factors[0]
+        return _element(self.dimension, _fold(self.factors, 0, len(self.factors)))
 
 
-def _fold(factors: Sequence[Element], lo: int, hi: int) -> Element:
+def _fold(factors: Sequence[Element], lo: int, hi: int) -> list[_Piece]:
+    """The pieces of factors[lo:hi]'s product, folded with `_then`."""
     if hi - lo == 1:
-        return factors[lo]
+        return _pieces(factors[lo])
     mid = (lo + hi) // 2
-    return then(_fold(factors, lo, mid), _fold(factors, mid, hi))
+    return _then(_fold(factors, lo, mid), _fold(factors, mid, hi))
 
 
 def product_equals(word: Word, target: Element) -> bool:
@@ -337,9 +366,6 @@ def product_equals(word: Word, target: Element) -> bool:
     # unless a piece was lost or duplicated.
     domains = [dom for dom, _ in pieces]
     return _total_measure(domains) == 1 and all(dom == rng for dom, rng in pieces)
-
-
-_Piece = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _product_pieces(word: Word, target: Element) -> list[_Piece]:

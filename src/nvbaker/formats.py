@@ -104,15 +104,21 @@ def _parse_cell(text: str, line: int, column: int) -> Cell:
 def _parse_brick(
     text: str, line: int, dimension: int | None, base_column: int, seen: dict[str, Brick]
 ) -> Brick:
-    """A side's brick, its text parsed once per `seen`; the header is checked every time."""
-    brick = seen.get(text)
+    """A side's brick, its text parsed once per `seen`; the header is checked every time.
+
+    `seen` is keyed by the stripped text, so a brick's domain text ``"X "``
+    and range text ``" X"`` share one parse; a miss parses the raw text, so
+    an error's column counts from the side's first character.
+    """
+    key = text.strip()
+    brick = seen.get(key)
     if brick is None:
         cells = []
         column = base_column
         for part in text.split(","):
             cells.append(_parse_cell(part, line, column))
             column += len(part) + 1
-        brick = seen[text] = Brick(tuple(cells))
+        brick = seen[key] = Brick(tuple(cells))
     if dimension is not None and brick.dimension != dimension:
         raise ParseError(
             f"semantic error: brick has {brick.dimension} axes, header says {dimension}",

@@ -14,10 +14,11 @@ measures, point membership), and the sort keys are integers too: a cell
 sorts by its left endpoint scaled by 2^MAX_EXPONENT, then by its exponent.
 
 One `_RangeIndex` over such bricks answers every "which bricks meet this
-one" question: `brick_meets` (composition, equality, refinement), the
-overlap check of `partition_validate` and `tile_complement`, and the
-one-pass verifier in `elements`. It files brick ids as bits of int masks
-under each cell and its prefixes, and a query ANDs one mask per axis.
+one" question: `_meets` (composition and equality, on cell ints) and
+`brick_meets`, its checked wrapper; the overlap check of
+`partition_validate` and `tile_complement`; and the one-pass verifier in
+`elements`. It files brick ids as bits of int masks under each cell and
+its prefixes, and a query ANDs one mask per axis.
 """
 
 from __future__ import annotations
@@ -270,12 +271,8 @@ def brick_meets(
 
     The lists may be any bricks of one dimension: partitions of any shape,
     or lists that overlap themselves or repeat a brick. The order of the
-    result is unspecified. The bricks of xs go into a `_RangeIndex`, and
-    each brick of ys asks it for the ids of the bricks it meets, so every
-    meet is built once, by `brick_intersect`, and no failed candidate is.
-    A query ORs one id mask per prefix of its cell on each axis and ANDs
-    the axes, so it costs its cells' total depth in mask operations, each
-    as wide as xs is long, plus one step per meet found.
+    result is unspecified. This checks the dimensions and hands the cell
+    ints to `_meets`.
     """
     if not xs or not ys:
         return []
@@ -283,11 +280,30 @@ def brick_meets(
     for b in (*xs, *ys):
         if b.dimension != dim:
             raise DimensionMismatchError(f"bricks of dimensions {dim} and {b.dimension}")
-    index = _RangeIndex([x.ints for x in xs])
     return [
-        (i, j, brick_intersect(xs[i], y))
+        (i, j, Brick._of(meet))
+        for i, j, meet in _meets([x.ints for x in xs], [y.ints for y in ys])
+    ]
+
+
+def _meets(
+    xs: Sequence[tuple[int, ...]], ys: Sequence[tuple[int, ...]]
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """`brick_meets` on cell-int bricks of one dimension, xs nonempty, unchecked.
+
+    The bricks of xs go into a `_RangeIndex`, and each brick of ys asks it
+    for the ids of the bricks it meets. The index proves each meet, so the
+    meet is just the finer cell, the larger int, on every axis, and no
+    failed candidate is built. A query ORs one id mask per prefix of its
+    cell on each axis and ANDs the axes, so it costs its cells' total depth
+    in mask operations, each as wide as xs is long, plus one step per meet
+    found.
+    """
+    index = _RangeIndex(xs)
+    return [
+        (i, j, tuple(map(max, xs[i], y)))
         for j, y in enumerate(ys)
-        for i in index.meeting(y.ints)
+        for i in index.meeting(y)
     ]
 
 

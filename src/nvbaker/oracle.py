@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ResolutionError
 from .elements import Element, Pair
-from .geometry import Brick, unit_brick
+from .geometry import Brick, Cell, unit_brick
 
 # numpy is imported inside the grid functions, so importing the library (and
 # the CLI) does not pay for it.
@@ -38,32 +38,28 @@ class GridSpec:
             raise ResolutionError(f"resolution must be >= 0, got {self.resolution}")
 
 
-def _max_exponent(f: Element) -> int:
-    return max(
-        c.exponent for p in f.pairs for b in (p.domain, p.range) for c in b.cells
-    )
+def _grid_images(
+    pairs: list[tuple[tuple[Cell, ...], tuple[Cell, ...]]], n: int, m: int, scale: int
+) -> np.ndarray:
+    """Scaled integer images of every grid point under an n-dimensional element.
 
-
-def _grid_images(f: Element, m: int, scale: int) -> np.ndarray:
-    """Scaled integer images of every grid point under the element.
-
-    Returns an int64 array of shape (dimension, 2^m, ..., 2^m) whose entry
-    [axis][index] is 2^scale times the axis coordinate of the image of the
-    point index / 2^m. Grid points inside a domain brick form an index box,
-    so each pair is one sliced affine assignment.
+    Takes the element's pairs as (domain cells, range cells). Returns an
+    int64 array of shape (n, 2^m, ..., 2^m) whose entry [axis][index] is
+    2^scale times the axis coordinate of the image of the point
+    index / 2^m. Grid points inside a domain brick form an index box, so
+    each pair is one sliced affine assignment.
     """
     import numpy as np
 
-    n = f.dimension
     side = 1 << m
     idx = np.indices((side,) * n, dtype=np.int64)
     out = np.empty_like(idx)
-    for p in f.pairs:
+    for dom, rng in pairs:
         box = tuple(
             slice(c.numerator << (m - c.exponent), (c.numerator + 1) << (m - c.exponent))
-            for c in p.domain.cells
+            for c in dom
         )
-        for axis, (cd, cr) in enumerate(zip(p.domain.cells, p.range.cells)):
+        for axis, (cd, cr) in enumerate(zip(dom, rng)):
             # image = r.lo + (x - d.lo) * 2^(ed - er), all times 2^scale
             base = cr.numerator << (scale - cr.exponent)
             step = scale - m + cd.exponent - cr.exponent
@@ -75,8 +71,11 @@ def _grid_images(f: Element, m: int, scale: int) -> np.ndarray:
 def _prepare(f: Element, g: Element, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     if f.dimension != g.dimension:
         raise ResolutionError("grid comparison needs elements of equal dimension")
+    # Each pair's cells are read once, for the finest exponent and the images.
+    fc = [(p.domain.cells, p.range.cells) for p in f.pairs]
+    gc = [(p.domain.cells, p.range.cells) for p in g.pairs]
     m = grid.resolution
-    finest = max(_max_exponent(f), _max_exponent(g))
+    finest = max(c.exponent for pair in fc + gc for side in pair for c in side)
     if m < finest:
         raise ResolutionError(
             f"resolution 2^-{m} is coarser than the finest cell 2^-{finest}"
@@ -86,7 +85,7 @@ def _prepare(f: Element, g: Element, grid: GridSpec) -> tuple[np.ndarray, np.nda
         raise ResolutionError(
             f"scale 2^{scale} exceeds the 64-bit integer budget"
         )
-    return _grid_images(f, m, scale), _grid_images(g, m, scale)
+    return _grid_images(fc, f.dimension, m, scale), _grid_images(gc, f.dimension, m, scale)
 
 
 def grid_equals(f: Element, g: Element, grid: GridSpec) -> bool:

@@ -33,8 +33,9 @@ from nvbaker import (
     then,
     unit_brick,
 )
-from nvbaker import elements
+from nvbaker import elements, geometry
 from nvbaker.elements import _product_pieces
+from nvbaker.formats import serialize_element
 from nvbaker.factorization import factor_baker
 
 from conftest import brick, element_image, grid_points
@@ -327,6 +328,7 @@ class TestWord:
     def test_single_factor(self):
         b = unit_baker()
         assert Word(2, (b,)).product().pairs == b.pairs
+        assert Word(2, (b,)).product() is b
 
     def test_fold_shape_independence(self):
         factors = tuple(
@@ -339,6 +341,108 @@ class TestWord:
     def test_dimension_checked(self):
         with pytest.raises(DimensionMismatchError):
             Word(2, (identity(3),))
+
+
+# sha256 of serialize_element of products, pinned from the fold over sorted
+# Elements of checked bricks that composition used before it ran on cell ints.
+QUARTER_PRODUCT_SHA256 = "1b444aea72506dc7e641d7c6e52e5ff2ffd613a34aee26e3e0fa91baccb38c26"
+RANDOM_PRODUCTS_SHA256 = "f2c1f04e83a9fcdd6a5df70cec51ba1cbd1b24910fa9a064580022981dcc89a1"
+
+
+@pytest.fixture(scope="module")
+def quarter_word():
+    return factor_baker(BakerSpec(unit_brick(2), 0, 1), Fraction(1, 4)).word
+
+
+class TestProductBytes:
+    def test_quarter_word_product(self, quarter_word):
+        assert len(quarter_word) == 511
+        text = serialize_element(quarter_word.product())
+        assert hashlib.sha256(text.encode()).hexdigest() == QUARTER_PRODUCT_SHA256
+
+    def test_random_word_products(self):
+        # 20 words of 1-6 seeded factors in each dimension 1-4.
+        digest = hashlib.sha256()
+        for dim in (1, 2, 3, 4):
+            for s in range(20):
+                factors = tuple(
+                    random_element(RandomElementSpec(dim, 3, 50 * dim + 7 * s + k))
+                    for k in range(1 + s % 6)
+                )
+                digest.update(serialize_element(Word(dim, factors).product()).encode())
+        assert digest.hexdigest() == RANDOM_PRODUCTS_SHA256
+
+    def test_product_builds_one_element_and_intersects_no_bricks(self, monkeypatch, quarter_word):
+        # The fold runs on cell ints: the index proves every meet, and the
+        # sorted Element is built once, from the final pieces.
+        built, intersections = [0], [0]
+        post_init, intersect = Element.__post_init__, geometry.brick_intersect
+
+        def counted_post_init(self):
+            built[0] += 1
+            post_init(self)
+
+        def counted_intersect(a, b):
+            intersections[0] += 1
+            return intersect(a, b)
+
+        monkeypatch.setattr(Element, "__post_init__", counted_post_init)
+        for owner in (geometry, elements):
+            monkeypatch.setattr(owner, "brick_intersect", counted_intersect)
+        quarter_word.product()
+        assert built[0] == 1
+        assert intersections[0] == 0
+
+
+@st.composite
+def same_dimension_elements(draw, count):
+    """`count` seeded random elements of one drawn dimension, 1 to 4."""
+    dim = draw(st.integers(1, 4))
+    seeds = st.integers(0, 2**32)
+    return [
+        random_element(RandomElementSpec(dim, draw(st.integers(0, 3)), draw(seeds)))
+        for _ in range(count)
+    ]
+
+
+class TestGroupLaws:
+    @settings(deadline=None, max_examples=60)
+    @given(same_dimension_elements(1))
+    def test_identity(self, operands):
+        (f,) = operands
+        e = identity(f.dimension)
+        assert then(e, f).pairs == f.pairs
+        assert then(f, e).pairs == f.pairs
+
+    @settings(deadline=None, max_examples=60)
+    @given(same_dimension_elements(1))
+    def test_inverse(self, operands):
+        (f,) = operands
+        e = identity(f.dimension)
+        for composite in (then(f, inverse(f)), then(inverse(f), f)):
+            assert all(p.is_identity for p in composite.pairs)
+            assert equals(composite, e)
+
+    @settings(deadline=None, max_examples=60)
+    @given(same_dimension_elements(3))
+    def test_associativity(self, operands):
+        f, g, h = operands
+        assert then(then(f, g), h).pairs == then(f, then(g, h)).pairs
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 6).flatmap(same_dimension_elements))
+    def test_product_is_the_fold_of_then(self, factors):
+        product = Word(factors[0].dimension, tuple(factors)).product()
+        assert product.pairs == functools.reduce(then, factors).pairs
+
+
+def test_star_import_gives_the_public_names_and_no_submodule():
+    names: dict = {}
+    exec("from nvbaker import *", names)
+    del names["__builtins__"]
+    assert len(names) == 71
+    assert {"then", "Word", "brick_meets", "grid_equals", "render_svg"} <= set(names)
+    assert not {"elements", "geometry", "oracle", "formats", "svg"} & set(names)
 
 
 def _brick(cells: tuple[int, ...]):

@@ -452,7 +452,7 @@ def test_parse_word_checks_each_distinct_partition_once(monkeypatch, quarter_wor
     }
     assert len(sides) == 239
     assert validations[0] <= len(sides)  # 1,022 with both sides of every factor checked
-    assert cells[0] <= 1544  # 17,912 with every side's text parsed
+    assert cells[0] <= 772  # 17,912 parsing every side, 1,544 keyed by the raw text
 
 
 def test_serialize_word_formats_each_distinct_brick_once(monkeypatch, quarter_word):

@@ -246,19 +246,30 @@ def test_deep_chains_meet_only_themselves():
 
 
 def test_one_intersection_per_meet(monkeypatch):
-    calls = []
+    # The index proves every meet, so each meet's brick is built once,
+    # straight from the cell ints, and no candidate goes to brick_intersect.
+    calls, built = [], [0]
+    build = Brick._of.__func__
 
     def counted(a, b):
         calls.append((a, b))
         return brick_intersect(a, b)
+
+    def counted_build(cls, ints):
+        built[0] += 1
+        return build(cls, ints)
 
     monkeypatch.setattr(geometry, "brick_intersect", counted)
     leaves = chain(60, 6, "mixed", 3)
     grid = [brick(f"{i}/2^2,{j}/2^1" + ",0/2^0" * 4) for i in range(4) for j in range(2)]
     for xs, ys in ((leaves, grid), (grid, leaves), (leaves, leaves), (pinwheel(), pinwheel())):
         calls.clear()
-        meets = brick_meets(xs, ys)
-        assert len(calls) == len(meets)
+        built[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(Brick, "_of", classmethod(counted_build))
+            meets = brick_meets(xs, ys)
+        assert calls == []
+        assert built[0] == len(meets) > 0
     calls.clear()
     assert partition_validate(leaves)
     assert partition_validate(grid)

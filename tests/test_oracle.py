@@ -23,6 +23,7 @@ from nvbaker import (
     make_baker,
     partition_validate,
     random_element,
+    then,
     unit_brick,
 )
 
@@ -216,3 +217,29 @@ class TestRandomElement:
             f = random_element(RandomElementSpec(2, 4, seed + 100))
             assert grid_equals(e, f, grid) == equals(e, f)
             assert grid_equals(e, e, grid)
+
+
+@st.composite
+def oracle_cases(draw):
+    """Two elements of dimension 1 or 2: the same map in a finer presentation,
+    the first followed by another element, or an unrelated element."""
+    dim = draw(st.integers(1, 2))
+    seeds = st.integers(0, 2**32)
+    f = random_element(RandomElementSpec(dim, draw(st.integers(0, 3)), draw(seeds)))
+    h = random_element(RandomElementSpec(dim, draw(st.integers(0, 2)), draw(seeds)))
+    kind = draw(st.sampled_from(["refined", "composed", "unrelated"]))
+    if kind == "refined":
+        return f, then(f, then(h, inverse(h)))
+    if kind == "composed":
+        return f, then(f, h)
+    return f, h
+
+
+@settings(deadline=None, max_examples=100)
+@given(oracle_cases())
+def test_grid_agrees_with_equals_one_level_finer(case):
+    f, g = case
+    finest = max(
+        c.exponent for e in (f, g) for p in e.pairs for b in (p.domain, p.range) for c in b.cells
+    )
+    assert grid_equals(f, g, GridSpec(finest + 1)) == equals(f, g)
