@@ -25,19 +25,14 @@ from .geometry import (
     MAX_EXPONENT,
     Brick,
     Cell,
-    CellRelation,
     Partition,
     ValidationReport,
     brick_intersect,
-    brick_meets,
     bricks_disjoint,
-    cell_relation,
-    common_refinement,
     partition_validate,
     peel_to_unit,
     tile_complement,
     unit_brick,
-    unit_partition,
 )
 from .elements import (
     Element,
@@ -49,7 +44,6 @@ from .elements import (
     equals_witness,
     identity,
     inverse,
-    map_through,
     product_equals,
     support,
     then,

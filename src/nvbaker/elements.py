@@ -77,18 +77,6 @@ class Pair:
         return f"{self.domain} -> {self.range}"
 
 
-def map_through(sub: Brick, src: Brick, dst: Brick) -> Brick:
-    """Image of a sub-brick of src under the affine map sending src onto dst."""
-    if not sub.dimension == src.dimension == dst.dimension:
-        raise DimensionMismatchError(
-            f"cannot map a {sub.dimension}-brick from a {src.dimension}-brick "
-            f"onto a {dst.dimension}-brick"
-        )
-    if not src.contains_brick(sub):
-        raise ElementError(f"brick {sub} is not inside {src}")
-    return Brick._of(_carry(sub.ints, src.ints, dst.ints))
-
-
 def _carry(sub: tuple[int, ...], src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
     """Cell ints of sub, inside src, carried onto dst (see the module docstring).
 

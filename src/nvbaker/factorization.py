@@ -31,16 +31,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal
 
-from .errors import FactorizationError, PartitionError
-from .geometry import MAX_EXPONENT, Brick, bricks_disjoint, partition_validate, tile_complement
+from .errors import FactorizationError
+from .geometry import MAX_EXPONENT, Brick, bricks_disjoint, tile_complement
 from .elements import (
     Element,
-    Pair,
     Word,
     equals,  # noqa: F401 (kept importable as nvbaker.factorization.equals)
     product_equals,
 )
-from .generators import BakerSpec, make_baker
+from .generators import BakerSpec, _check_ambient, _swap, make_baker
 
 SplitKind = Literal["domain", "range"]
 
@@ -75,16 +74,8 @@ def split_baker(
 def _complement(dimension: int, holes: list[Brick]) -> list[Brick]:
     """`tile_complement` of the holes, checked once to partition the cube with them."""
     outside = tile_complement(dimension, holes)
-    report = partition_validate([*holes, *outside])
-    if not report:
-        raise PartitionError(f"ambient is not a partition: {'; '.join(report.problems)}")
+    _check_ambient((*holes, *outside))
     return outside
-
-
-def _swap(ambient: tuple[Brick, ...], a: Brick, b: Brick) -> Element:
-    """The transposition of a and b inside `ambient`, built from a `_complement`."""
-    image = {a: b, b: a}
-    return Element(a.dimension, [Pair._of(x, image.get(x, x)) for x in ambient])
 
 
 @dataclass(frozen=True)
@@ -290,7 +281,6 @@ def factor_baker(
         return epsilon is not None and b.support.diameter >= epsilon
 
     sequence, levels = _split_rounds(spec, too_big)
-    shrunk = ShrinkResult(spec, epsilon, tuple(sequence))
     factors: list[Element] = []
     for item in sequence:
         if isinstance(item, BakerSpec):
@@ -303,8 +293,8 @@ def factor_baker(
         epsilon=epsilon,
         word=word,
         levels=tuple(levels),
-        small_bakers=shrunk.small_bakers,
-        split_transpositions=shrunk.transpositions,
+        small_bakers=tuple(x for x in sequence if isinstance(x, BakerSpec)),
+        split_transpositions=tuple(x for x in sequence if isinstance(x, Element)),
         verified=verify_word(word, spec),
     )
 

@@ -379,8 +379,8 @@ def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
             "semantic error: range leaf labels must be a permutation of the domain labels"
         )
     by_label = {label: brick for label, brick in ran_leaves}
-    # Split-tree leaves partition the cube, so no check is needed.
-    return Element(dimension, tuple(Pair(b, by_label[label]) for label, b in dom_leaves))
+    # Both trees split one unit brick: their leaves partition the cube, unchecked.
+    return Element(dimension, tuple(Pair._of(b, by_label[label]) for label, b in dom_leaves))
 
 
 def load_element(text: str, dimension: int | None = None) -> Element:

@@ -38,14 +38,21 @@ class TranspositionSpec:
 
 
 def make_transposition(spec: TranspositionSpec) -> Element:
-    report = partition_validate(spec.ambient.bricks)
+    _check_ambient(spec.ambient.bricks)
+    return _swap(spec.ambient.bricks, spec.a, spec.b)
+
+
+def _check_ambient(bricks: tuple[Brick, ...]) -> None:
+    """Refuse bricks that do not partition the cube, naming each problem."""
+    report = partition_validate(bricks)
     if not report:
-        raise PartitionError(
-            f"ambient is not a partition: {'; '.join(report.problems)}"
-        )
-    image = {spec.a: spec.b, spec.b: spec.a}
-    pairs = [Pair._of(brick, image.get(brick, brick)) for brick in spec.ambient]
-    return Element(spec.ambient.dimension, pairs)
+        raise PartitionError(f"ambient is not a partition: {'; '.join(report.problems)}")
+
+
+def _swap(ambient: tuple[Brick, ...], a: Brick, b: Brick) -> Element:
+    """The transposition of a and b inside a checked ambient partition."""
+    image = {a: b, b: a}
+    return Element(a.dimension, [Pair._of(x, image.get(x, x)) for x in ambient])
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,15 @@ measures, point membership), and the sort keys are integers too: a cell
 sorts by its left endpoint scaled by 2^MAX_EXPONENT, then by its exponent.
 
 One `_RangeIndex` over such bricks answers every "which bricks meet this
-one" question: `_meets` (composition and equality, on cell ints) and
-`brick_meets`, its checked wrapper; the overlap check of
-`partition_validate` and `tile_complement`; and the one-pass verifier in
-`elements`. It files brick ids as bits of int masks under each cell and
-its prefixes, and a query ANDs one mask per axis.
+one" question: `_meets` (composition and equality, on cell ints), the
+overlap check of `partition_validate` and `tile_complement`, and the
+one-pass verifier in `elements`. It files brick ids as bits of int masks
+under each cell and its prefixes, and a query ANDs one mask per axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -40,13 +38,6 @@ from .errors import (
 # in `unit_brick`, so one check in each guards the library against runaway work.
 MAX_EXPONENT = 64
 MAX_DIMENSION = 64
-
-
-class CellRelation(Enum):
-    DISJOINT = "disjoint"
-    EQUAL = "equal"
-    A_INSIDE_B = "a_inside_b"
-    B_INSIDE_A = "b_inside_a"
 
 
 @dataclass(frozen=True)
@@ -80,48 +71,11 @@ class Cell:
     def length(self) -> Fraction:
         return Fraction(1, 1 << self.exponent)
 
-    def split(self) -> tuple["Cell", "Cell"]:
-        """Halve into (lower, upper) children."""
-        e, k = self.exponent + 1, self.numerator * 2
-        return Cell(e, k), Cell(e, k + 1)
-
-    def double(self) -> "Cell":
-        """The parent cell one level up."""
-        if self.exponent == 0:
-            raise GeometryError("the unit interval has no parent cell")
-        return Cell(self.exponent - 1, self.numerator >> 1)
-
-    def sibling(self) -> "Cell":
-        """The other child of this cell's parent."""
-        if self.exponent == 0:
-            raise GeometryError("the unit interval has no sibling")
-        return Cell(self.exponent, self.numerator ^ 1)
-
-    @property
-    def is_lower_child(self) -> bool:
-        if self.exponent == 0:
-            raise GeometryError("the unit interval is not a child")
-        return self.numerator % 2 == 0
-
     def contains_value(self, x: Fraction) -> bool:
         return self.lo <= x < self.hi
 
-    def sort_key(self) -> tuple[int, int]:
-        """Orders cells exactly as (lo, exponent) does, without a Fraction."""
-        return (self.numerator << (MAX_EXPONENT - self.exponent), self.exponent)
-
     def __str__(self) -> str:
         return f"{self.numerator}/2^{self.exponent}"
-
-
-def cell_relation(a: Cell, b: Cell) -> CellRelation:
-    """Classify two dyadic cells. They are never partially overlapping."""
-    x, y = Brick((a, b)).ints  # the two cells as cell ints
-    if x == y:
-        return CellRelation.EQUAL
-    if _inside(x, y):
-        return CellRelation.A_INSIDE_B
-    return CellRelation.B_INSIDE_A if _inside(y, x) else CellRelation.DISJOINT
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -264,33 +218,13 @@ def bricks_disjoint(a: Brick, b: Brick) -> bool:
     return brick_intersect(a, b) is None
 
 
-def brick_meets(
-    xs: Sequence[Brick], ys: Sequence[Brick]
-) -> list[tuple[int, int, Brick]]:
-    """Every nonempty meet xs[i] & ys[j], as (i, j, meet), each pair once.
-
-    The lists may be any bricks of one dimension: partitions of any shape,
-    or lists that overlap themselves or repeat a brick. The order of the
-    result is unspecified. This checks the dimensions and hands the cell
-    ints to `_meets`.
-    """
-    if not xs or not ys:
-        return []
-    dim = xs[0].dimension
-    for b in (*xs, *ys):
-        if b.dimension != dim:
-            raise DimensionMismatchError(f"bricks of dimensions {dim} and {b.dimension}")
-    return [
-        (i, j, Brick._of(meet))
-        for i, j, meet in _meets([x.ints for x in xs], [y.ints for y in ys])
-    ]
-
-
 def _meets(
     xs: Sequence[tuple[int, ...]], ys: Sequence[tuple[int, ...]]
 ) -> list[tuple[int, int, tuple[int, ...]]]:
-    """`brick_meets` on cell-int bricks of one dimension, xs nonempty, unchecked.
+    """Every nonempty meet xs[i] & ys[j], as (i, j, meet), each pair once.
 
+    The lists hold cell-int bricks of one dimension, xs nonempty, unchecked;
+    they may overlap themselves or repeat a brick. The result is unordered.
     The bricks of xs go into a `_RangeIndex`, and each brick of ys asks it
     for the ids of the bricks it meets. The index proves each meet, so the
     meet is just the finer cell, the larger int, on every axis, and no
@@ -473,19 +407,6 @@ def unit_brick(dimension: int) -> Brick:
     if not 1 <= dimension <= MAX_DIMENSION:
         raise GeometryError(f"dimension must be in 1..{MAX_DIMENSION}, got {dimension}")
     return Brick._of((1,) * dimension)
-
-
-def unit_partition(dimension: int) -> Partition:
-    return Partition((unit_brick(dimension),))
-
-
-def common_refinement(p: Partition, q: Partition) -> Partition:
-    """The coarsest partition refining both: all nonempty pairwise meets."""
-    if p.dimension != q.dimension:
-        raise DimensionMismatchError(
-            f"partitions of dimensions {p.dimension} and {q.dimension}"
-        )
-    return Partition([meet for _, _, meet in brick_meets(p.bricks, q.bricks)])
 
 
 def peel_to_unit(brick: Brick) -> list[Brick]:

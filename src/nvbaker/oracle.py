@@ -190,8 +190,8 @@ def random_element(spec: RandomElementSpec) -> Element:
         open_axes: list[tuple[int, int]] = [
             (k, axis)
             for k, b in enumerate(ranges)
-            for axis, c in enumerate(b.cells)
-            if c.exponent < spec.max_depth
+            for axis, c in enumerate(b.ints)
+            if c.bit_length() - 1 < spec.max_depth
         ]
         k, axis = open_axes[rng.below(len(open_axes))]
         lo, hi = ranges.pop(k).split(axis)

@@ -60,9 +60,10 @@ def reference_coarsen(f: Element) -> Element:
                 axis = sibling_axis(a.domain, b.domain)
                 if axis is None or sibling_axis(a.range, b.range) != axis:
                     continue
-                if a.domain.cells[axis].is_lower_child != a.range.cells[axis].is_lower_child:
+                # A lower child has an even numerator.
+                if a.domain.cells[axis].numerator % 2 != a.range.cells[axis].numerator % 2:
                     continue
-                if b.domain.cells[axis].is_lower_child != b.range.cells[axis].is_lower_child:
+                if b.domain.cells[axis].numerator % 2 != b.range.cells[axis].numerator % 2:
                     continue
                 joined = Pair(a.domain.double(axis), a.range.double(axis))
                 del pairs[j], pairs[i]

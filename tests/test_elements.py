@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nvbaker
 from nvbaker import (
     BakerSpec,
     Brick,
@@ -25,7 +26,6 @@ from nvbaker import (
     identity,
     inverse,
     make_baker,
-    map_through,
     partition_validate,
     product_equals,
     random_element,
@@ -45,7 +45,14 @@ def unit_baker() -> Element:
     return make_baker(BakerSpec(unit_brick(2), 0, 1))
 
 
+def map_through(sub: Brick, src: Brick, dst: Brick) -> Brick:
+    """The image of a sub-brick of src under the map of src onto dst."""
+    return Brick._of(elements._carry(sub.ints, src.ints, dst.ints))
+
+
 class TestMapThrough:
+    """`elements._carry`, the transport of a sub-brick, on cell ints."""
+
     def test_frozen(self):
         sub = brick("1/2^2,0/2^1")
         src = brick("0/2^1,0/2^0")
@@ -57,18 +64,13 @@ class TestMapThrough:
         dst = brick("0/2^0,0/2^1")
         assert map_through(src, src, dst) == dst
 
-    def test_not_inside(self):
-        with pytest.raises(ElementError):
-            map_through(brick("1/2^1,0/2^0"), brick("0/2^1,0/2^0"), unit_brick(2))
-
-    def test_dimensions_must_agree(self):
-        half = brick("0/2^1,0/2^0")
-        with pytest.raises(DimensionMismatchError):
-            map_through(half, unit_brick(2), unit_brick(3))
-        with pytest.raises(DimensionMismatchError):
-            map_through(half, unit_brick(3), unit_brick(3))
-        with pytest.raises(DimensionMismatchError):
-            map_through(brick("0/2^1"), unit_brick(2), unit_brick(2))
+    def test_exponent_limit(self):
+        # sub lies 63 levels inside src, so it lands at exponent 64 in a dst of
+        # exponent 1 and at 65, past the limit, in one of exponent 2.
+        sub, src = brick(f"0/2^{MAX_EXPONENT},0/2^0"), brick("0/2^1,0/2^0")
+        assert map_through(sub, src, brick("1/2^1,0/2^0")).ints[0].bit_length() == 65
+        with pytest.raises(ExponentLimitError):
+            map_through(sub, src, brick("1/2^2,0/2^0"))
 
     def test_matches_pointwise_affine_map(self):
         # The image brick is exactly the set of pointwise images.
@@ -440,9 +442,15 @@ def test_star_import_gives_the_public_names_and_no_submodule():
     names: dict = {}
     exec("from nvbaker import *", names)
     del names["__builtins__"]
-    assert len(names) == 71
-    assert {"then", "Word", "brick_meets", "grid_equals", "render_svg"} <= set(names)
+    assert len(names) == 65
+    assert {"then", "Word", "brick_intersect", "grid_equals", "render_svg"} <= set(names)
     assert not {"elements", "geometry", "oracle", "formats", "svg"} & set(names)
+    removed = ("CellRelation", "cell_relation", "brick_meets", "common_refinement",
+               "unit_partition", "map_through")
+    for name in removed:
+        assert not hasattr(nvbaker, name)
+        with pytest.raises(ImportError):
+            exec(f"from nvbaker import {name}", {})
 
 
 def _brick(cells: tuple[int, ...]):

@@ -9,7 +9,6 @@ from nvbaker import (
     MAX_DIMENSION,
     Brick,
     Cell,
-    CellRelation,
     DimensionMismatchError,
     ExponentLimitError,
     GeometryError,
@@ -18,14 +17,11 @@ from nvbaker import (
     RandomElementSpec,
     brick_intersect,
     bricks_disjoint,
-    cell_relation,
-    common_refinement,
     partition_validate,
     peel_to_unit,
     random_element,
     tile_complement,
     unit_brick,
-    unit_partition,
 )
 
 from conftest import all_cells, brick, interval
@@ -62,27 +58,26 @@ class TestCell:
         with pytest.raises(ExponentLimitError):
             Cell(9, 0)
 
+    # Halving, doubling, siblings and sort keys live on `Brick`; these run
+    # them on one-axis bricks, one cell each.
     def test_split_children(self):
-        lo, hi = Cell(1, 1).split()
-        assert (lo.exponent, lo.numerator) == (2, 2)
-        assert (hi.exponent, hi.numerator) == (2, 3)
-        assert lo.is_lower_child and not hi.is_lower_child
+        lo, hi = Brick((Cell(1, 1),)).split(0)
+        assert lo.cells == (Cell(2, 2),)
+        assert hi.cells == (Cell(2, 3),)
 
     def test_double_and_sibling(self):
-        c = Cell(2, 2)
-        assert c.double() == Cell(1, 1)
-        assert c.sibling() == Cell(2, 3)
-        assert c.sibling().sibling() == c
-        for child in Cell(3, 5).split():
-            assert child.double() == Cell(3, 5)
+        c = Brick((Cell(2, 2),))
+        assert c.double(0) == Brick((Cell(1, 1),))
+        assert c.sibling(0) == Brick((Cell(2, 3),))
+        assert c.sibling(0).sibling(0) == c
+        for child in Brick((Cell(3, 5),)).split(0):
+            assert child.double(0) == Brick((Cell(3, 5),))
 
     def test_root_has_no_parent(self):
         with pytest.raises(GeometryError):
-            Cell(0, 0).double()
+            unit_brick(1).double(0)
         with pytest.raises(GeometryError):
-            Cell(0, 0).sibling()
-        with pytest.raises(GeometryError):
-            Cell(0, 0).is_lower_child
+            unit_brick(1).sibling(0)
 
     def test_contains_value(self):
         c = Cell(1, 0)
@@ -97,18 +92,30 @@ class TestCell:
             for k in (0, 1, 2, top // 2 - 1, top // 2, top // 2 + 1, top - 2, top - 1):
                 cells.append(Cell(e, k))
         expected = sorted(cells, key=lambda c: (Fraction(c.numerator, 1 << c.exponent), c.exponent))
-        assert sorted(cells, key=Cell.sort_key) == expected
-        assert sorted(reversed(cells), key=Cell.sort_key) == expected
-        assert all(isinstance(v, int) for c in cells for v in c.sort_key())
+        bricks = [Brick((c,)) for c in cells]
+        assert [b.cells[0] for b in sorted(bricks, key=Brick.sort_key)] == expected
+        assert [b.cells[0] for b in sorted(reversed(bricks), key=Brick.sort_key)] == expected
+        assert all(isinstance(v, int) for b in bricks for v in b.sort_key())
+
+
+def cell_relation(a: Cell, b: Cell) -> str:
+    """How two cells relate, read from `brick_intersect` on one-axis bricks."""
+    x, y = Brick((a,)), Brick((b,))
+    meet = brick_intersect(x, y)
+    if meet is None:
+        return "disjoint"
+    if x == y:
+        return "equal"
+    return "a_inside_b" if meet == x else "b_inside_a"
 
 
 class TestCellRelation:
     def test_frozen_cases(self):
-        assert cell_relation(Cell(1, 0), Cell(1, 0)) is CellRelation.EQUAL
-        assert cell_relation(Cell(1, 0), Cell(1, 1)) is CellRelation.DISJOINT
-        assert cell_relation(Cell(2, 1), Cell(1, 0)) is CellRelation.A_INSIDE_B
-        assert cell_relation(Cell(1, 0), Cell(2, 1)) is CellRelation.B_INSIDE_A
-        assert cell_relation(Cell(2, 2), Cell(1, 0)) is CellRelation.DISJOINT
+        assert cell_relation(Cell(1, 0), Cell(1, 0)) == "equal"
+        assert cell_relation(Cell(1, 0), Cell(1, 1)) == "disjoint"
+        assert cell_relation(Cell(2, 1), Cell(1, 0)) == "a_inside_b"
+        assert cell_relation(Cell(1, 0), Cell(2, 1)) == "b_inside_a"
+        assert cell_relation(Cell(2, 2), Cell(1, 0)) == "disjoint"
 
     def test_exhaustive_against_interval_arithmetic(self):
         # Every pair of cells with exponent <= 3, classified by raw interval
@@ -119,15 +126,15 @@ class TestCellRelation:
                 alo, ahi = interval(a)
                 blo, bhi = interval(b)
                 if ahi <= blo or bhi <= alo:
-                    expected = CellRelation.DISJOINT
+                    expected = "disjoint"
                 elif alo == blo and ahi == bhi:
-                    expected = CellRelation.EQUAL
+                    expected = "equal"
                 elif blo <= alo and ahi <= bhi:
-                    expected = CellRelation.A_INSIDE_B
+                    expected = "a_inside_b"
                 else:
                     assert alo <= blo and bhi <= ahi
-                    expected = CellRelation.B_INSIDE_A
-                assert cell_relation(a, b) is expected, (a, b)
+                    expected = "b_inside_a"
+                assert cell_relation(a, b) == expected, (a, b)
 
 
 class TestBrick:
@@ -231,9 +238,6 @@ class TestPartition:
         with pytest.raises(PartitionError):
             Partition(())
 
-    def test_unit_partition(self):
-        assert list(unit_partition(2)) == [unit_brick(2)]
-
 
 class TestPartitionValidate:
     def test_valid(self):
@@ -271,6 +275,12 @@ class TestPartitionValidate:
         assert not partition_validate([])
 
 
+def common_refinement(p: Partition, q: Partition) -> Partition:
+    """All nonempty meets of a brick of p with a brick of q, from `_meets`."""
+    meets = nvbaker.geometry._meets([b.ints for b in p], [b.ints for b in q])
+    return Partition([Brick._of(meet) for _, _, meet in meets])
+
+
 class TestCommonRefinement:
     def test_frozen(self):
         halves_x = Partition(tuple(unit_brick(2).split(0)))
@@ -291,10 +301,6 @@ class TestCommonRefinement:
         for piece in r:
             assert any(b.contains_brick(piece) for b in p)
             assert any(b.contains_brick(piece) for b in q)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            common_refinement(unit_partition(2), unit_partition(3))
 
 
 class TestPeelToUnit:

@@ -1,4 +1,5 @@
-"""Property tests of the meet engine against brute-force all-pairs references."""
+"""Property tests of the meet engine, `geometry._meets` on cell ints, against
+brute-force all-pairs references."""
 
 import itertools
 import time
@@ -12,7 +13,6 @@ from nvbaker import (
     Cell,
     RandomElementSpec,
     brick_intersect,
-    brick_meets,
     partition_validate,
     peel_to_unit,
     random_element,
@@ -25,6 +25,11 @@ from conftest import brick, chain
 MAX_DEPTH = 5
 
 
+def meets(xs, ys):
+    """`geometry._meets` on the bricks' cell ints, which needs xs nonempty."""
+    return geometry._meets([x.ints for x in xs], [y.ints for y in ys]) if xs else []
+
+
 def all_pairs_meets(xs, ys):
     """Every nonempty meet by testing every brick against every brick."""
     out = []
@@ -32,7 +37,7 @@ def all_pairs_meets(xs, ys):
         for j, y in enumerate(ys):
             meet = brick_intersect(x, y)
             if meet is not None:
-                out.append((i, j, meet))
+                out.append((i, j, meet.ints))
     return out
 
 
@@ -51,7 +56,7 @@ def all_pairs_problems(items):
 
 
 def assert_same_meets(xs, ys):
-    got = brick_meets(xs, ys)
+    got = meets(xs, ys)
     keys = [(i, j) for i, j, _ in got]
     assert len(keys) == len(set(keys)), "a pair was reported twice"
     assert sorted(got, key=lambda m: m[:2]) == all_pairs_meets(xs, ys)
@@ -207,17 +212,16 @@ def test_pair_coarse_on_split_axis_in_both_lists_reported_once():
     # that axis while the thin brick is found by the scan for descendants.
     xs = [brick("0/2^2,1/2^1"), brick("0/2^0,0/2^1")]
     ys = [brick("0/2^0,0/2^0"), brick("0/2^0,0/2^1")]
-    got = sorted(brick_meets(xs, ys), key=lambda m: m[:2])
+    got = sorted(meets(xs, ys), key=lambda m: m[:2])
     assert got == [
-        (0, 0, xs[0]),
-        (1, 0, xs[1]),
-        (1, 1, brick("0/2^0,0/2^1")),
+        (0, 0, xs[0].ints),
+        (1, 0, xs[1].ints),
+        (1, 1, brick("0/2^0,0/2^1").ints),
     ]
 
 
 def test_empty_lists_have_no_meets():
-    assert brick_meets([], [brick("0/2^0,0/2^0")]) == []
-    assert brick_meets([brick("0/2^0,0/2^0")], []) == []
+    assert geometry._meets([brick("0/2^0,0/2^0").ints], []) == []
 
 
 @settings(deadline=None, max_examples=25)
@@ -240,14 +244,14 @@ def test_deep_chains_meet_only_themselves():
     for side in ("lower", "upper", "mixed"):
         leaves = chain(300, 20, side, 7)
         assert partition_validate(leaves)
-        assert sorted((i, j) for i, j, _ in brick_meets(leaves, leaves)) == [
+        assert sorted((i, j) for i, j, _ in meets(leaves, leaves)) == [
             (i, i) for i in range(len(leaves))
         ]
 
 
 def test_one_intersection_per_meet(monkeypatch):
-    # The index proves every meet, so each meet's brick is built once,
-    # straight from the cell ints, and no candidate goes to brick_intersect.
+    # The index proves every meet, so each meet is taken straight from the
+    # cell ints: no brick is built and no candidate goes to brick_intersect.
     calls, built = [], [0]
     build = Brick._of.__func__
 
@@ -267,9 +271,9 @@ def test_one_intersection_per_meet(monkeypatch):
         built[0] = 0
         with monkeypatch.context() as m:
             m.setattr(Brick, "_of", classmethod(counted_build))
-            meets = brick_meets(xs, ys)
+            found = meets(xs, ys)
         assert calls == []
-        assert built[0] == len(meets) > 0
+        assert built[0] == 0 < len(found)
     calls.clear()
     assert partition_validate(leaves)
     assert partition_validate(grid)
