@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import NvError
 from .elements import (
     Element,
-    equals,  # noqa: F401 (kept importable as nvbaker.cli.equals)
+    equals,  # noqa: F401 (a binding perfbench/test_tracer.py checks)
     equals_witness,
     inverse,
     product_equals,

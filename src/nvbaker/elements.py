@@ -38,7 +38,7 @@ from .geometry import (
     MAX_EXPONENT,
     Brick,
     Partition,
-    brick_intersect,  # noqa: F401 (kept importable as nvbaker.elements.brick_intersect)
+    brick_intersect,  # noqa: F401 (a binding perfbench/test_tracer.py checks)
     _RangeIndex,
     _meets,
     _sort_key,
@@ -115,27 +115,7 @@ class Element:
 
     @staticmethod
     def from_pairs(pairs: Iterable[Pair]) -> "Element":
-        items = tuple(pairs)
-        if not items:
-            raise ElementError("an element needs at least one pair")
-        dim = items[0].domain.dimension
-        for p in items:
-            if p.domain.dimension != dim:
-                raise DimensionMismatchError("pairs of mixed dimensions")
-        passed = None  # a range with the domain's multiset of bricks is checked once
-        for side, bricks in (
-            ("domain", [p.domain for p in items]),
-            ("range", [p.range for p in items]),
-        ):
-            key = _multiset(bricks)
-            if key == passed:
-                continue
-            report = partition_validate(bricks)
-            if not report:
-                detail = "; ".join(report.problems)
-                raise ElementError(f"{side} bricks do not partition the cube: {detail}")
-            passed = key
-        return Element(dim, items)
+        return _from_pairs(tuple(pairs), set())
 
     @property
     def domain_partition(self) -> Partition:
@@ -145,9 +125,31 @@ class Element:
         return len(self.pairs)
 
 
-def _multiset(bricks: Iterable[Brick]) -> tuple[tuple[int, ...], ...]:
-    """The bricks' cell ints, sorted: equal exactly when the bricks are, counting repeats."""
-    return tuple(sorted(b.ints for b in bricks))
+def _from_pairs(items: Sequence[Pair], passed: set) -> Element:
+    """`Element.from_pairs`, skipping each side whose sorted cell ints are in `passed`.
+
+    A side that passes is added, so a range with its domain's bricks, or a
+    side repeated across the blocks of one word file, is checked once.
+    """
+    if not items:
+        raise ElementError("an element needs at least one pair")
+    dim = items[0].domain.dimension
+    for p in items:
+        if p.domain.dimension != dim:
+            raise DimensionMismatchError("pairs of mixed dimensions")
+    for side, bricks in (
+        ("domain", [p.domain for p in items]),
+        ("range", [p.range for p in items]),
+    ):
+        key = tuple(sorted(b.ints for b in bricks))
+        if key in passed:
+            continue
+        report = partition_validate(bricks)
+        if not report:
+            detail = "; ".join(report.problems)
+            raise ElementError(f"{side} bricks do not partition the cube: {detail}")
+        passed.add(key)
+    return Element(dim, items)
 
 
 def identity(dimension: int) -> Element:
@@ -377,7 +379,9 @@ def _product_pieces(word: Word, target: Element) -> list[_Piece]:
             if p.is_identity:
                 continue
             d, r = p.domain.ints, p.range.ints
-            for _, rng in index.pop_meeting(d):
+            # The ids still to come stay in use, so no half filed here takes one.
+            for i in index.meeting(d):
+                rng = index.remove(i)
                 dom, rng = list(live.pop(rng)[1]), list(rng)
                 for a, (x, y) in enumerate(zip(rng, d)):
                     depth = y.bit_length() - x.bit_length()

@@ -36,7 +36,7 @@ from .geometry import MAX_EXPONENT, Brick, bricks_disjoint, tile_complement
 from .elements import (
     Element,
     Word,
-    equals,  # noqa: F401 (kept importable as nvbaker.factorization.equals)
+    equals,  # noqa: F401 (a binding perfbench/test_tracer.py checks)
     product_equals,
 )
 from .generators import BakerSpec, _check_ambient, _swap, make_baker

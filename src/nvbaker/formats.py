@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ElementError, NvError, ParseError, PartitionError
+from .errors import ElementError, NvError, ParseError
 from .geometry import (
     MAX_DIMENSION,
     MAX_EXPONENT,
@@ -41,7 +41,7 @@ from .geometry import (
     partition_validate,
     unit_brick,
 )
-from .elements import Element, Pair, Word, _multiset
+from .elements import Element, Pair, Word, _from_pairs
 
 _CELL_RE = re.compile(r"(\d+)/2\^(\d+)")
 _HEADER_RE = re.compile(r"NV\s+(\d+)\s*$")
@@ -148,7 +148,7 @@ def _parse_header(lines: list[Line]) -> int:
 
 
 def _parse_element_lines(lines: list[Line], seen: dict[str, Brick], passed: set) -> Element:
-    """One element block, checked unless `passed` holds both its sides' `_multiset`s."""
+    """One element block, its sides checked by `elements._from_pairs` against `passed`."""
     dimension = _parse_header(lines)
     pairs = []
     for number, content, indent in lines[1:]:
@@ -161,15 +161,10 @@ def _parse_element_lines(lines: list[Line], seen: dict[str, Brick], passed: set)
         domain = _parse_brick(sides[0], number, dimension, indent + 1, seen)
         range_ = _parse_brick(sides[1], number, dimension, indent + len(sides[0]) + 3, seen)
         pairs.append(Pair._of(domain, range_))
-    keys = {_multiset(p.domain for p in pairs), _multiset(p.range for p in pairs)}
-    if keys <= passed:
-        return Element(dimension, pairs)
     try:
-        element = Element.from_pairs(pairs)
-    except (ElementError, PartitionError) as exc:
+        return _from_pairs(pairs, passed)
+    except ElementError as exc:
         raise ParseError(f"semantic error: {exc}") from exc
-    passed |= keys
-    return element
 
 
 def parse_element(text: str) -> Element:
@@ -383,8 +378,8 @@ def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
     return Element(dimension, tuple(Pair._of(b, by_label[label]) for label, b in dom_leaves))
 
 
-def load_element(text: str, dimension: int | None = None) -> Element:
+def load_element(text: str) -> Element:
     """Parse either element syntax, sniffing tree pairs by their ``=>``."""
     if any("=>" in content for _, content, _ in _significant_lines(text)):
-        return parse_tree_pair(text, dimension)
+        return parse_tree_pair(text)
     return parse_element(text)

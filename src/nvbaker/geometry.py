@@ -263,27 +263,24 @@ class _RangeIndex:
     index (O'Neil and Quass, SIGMOD 1997) over a hashed dyadic trie in the
     spirit of Finkel and Bentley's quad trees.
 
-    Ids are reused, so a mask is never wider than the most ids in use at
-    once. An id that `pop_meeting` or `remove` gives up comes back into use
-    only when the next `pop_meeting` starts, so a caller may add bricks
-    while it still holds the ids a pop returned. The index keeps one mask
-    per cell and prefix ever filed, at most MAX_EXPONENT + 1 per cell and
-    axis, and an emptied mask is the int 0. So its memory grows with the
-    distinct cells filed times the ids in use, not with each brick's cell
-    depth. The bricks must be nonempty and of one dimension.
+    `remove` frees an id for the next `add` at once, so a mask is never
+    wider than the most ids in use at once. The index keeps one mask per
+    cell and prefix ever filed, at most MAX_EXPONENT + 1 per cell and axis,
+    and an emptied mask is the int 0. So its memory grows with the distinct
+    cells filed times the ids in use, not with each brick's cell depth.
+    The bricks must be nonempty and of one dimension.
     """
 
     def __init__(self, bricks: Sequence[tuple[int, ...]]) -> None:
         self.bricks: dict[int, tuple[int, ...]] = {}
-        self.free: list[int] = []  # ids ready for reuse
-        self.held: list[int] = []  # ids given up since the last pop
+        self.free: list[int] = []  # removed ids, ready for reuse
         self.axes: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}) for _ in bricks[0]]
         for b in bricks:
             self.add(b)
 
     def add(self, b: tuple[int, ...]) -> int:
         """Index one more brick and return its id."""
-        i = self.free.pop() if self.free else len(self.bricks) + len(self.held)
+        i = self.free.pop() if self.free else len(self.bricks)
         self.bricks[i] = b
         bit = 1 << i
         for (exact, under), c in zip(self.axes, b):
@@ -312,16 +309,10 @@ class _RangeIndex:
             found ^= low
         return ids
 
-    def pop_meeting(self, d: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """Remove every brick that meets d; return them with their ids."""
-        self.free += self.held
-        self.held = []
-        return [(i, self.remove(i)) for i in self.meeting(d)]
-
     def remove(self, i: int) -> tuple[int, ...]:
         """Remove the brick with id i and return it."""
         b = self.bricks.pop(i)
-        self.held.append(i)
+        self.free.append(i)
         bit = 1 << i
         for (exact, under), c in zip(self.axes, b):
             exact[c] ^= bit
@@ -333,7 +324,12 @@ class _RangeIndex:
 
 @dataclass(frozen=True)
 class Partition:
-    """Pairwise-disjoint bricks covering [0,1)^n, given in any sequence, stored sorted."""
+    """Bricks of a partition of [0,1)^n, given in any sequence, stored sorted.
+
+    The constructor checks only that there are bricks and that they share
+    one dimension. That they are disjoint and cover the cube is checked by
+    `partition_validate`, `make_transposition` and the parsers.
+    """
 
     bricks: tuple[Brick, ...]
 

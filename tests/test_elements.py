@@ -561,6 +561,23 @@ class TestProductEquals:
         b = unit_baker()
         assert _product_pieces(Word(2, (b, inverse(b))), identity(2)) == [((1, 1), (1, 1))]
 
+    def test_verifier_work_is_pinned(self, monkeypatch):
+        # Exact work counts of the one-pass check of the eps = 1/8 word:
+        # the pieces filed in the index and the most live at once.
+        added, peak = [0], [0]
+
+        class Counted(elements._RangeIndex):
+            def add(self, b):
+                i = super().add(b)
+                added[0] += 1
+                peak[0] = max(peak[0], len(self.bricks))
+                return i
+
+        monkeypatch.setattr(elements, "_RangeIndex", Counted)
+        report = factor_baker(BakerSpec(unit_brick(2), 0, 1), Fraction(1, 8))
+        assert report.verified and len(report.word) == 2047
+        assert (added[0], peak[0]) == (7232, 22)
+
     def test_verifier_carries_the_reduced_map(self, monkeypatch):
         # An exact work count: the most pieces the one-pass check of the
         # eps = 1/16 word holds at once. 32 are measured; without merging

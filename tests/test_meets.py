@@ -106,7 +106,7 @@ def index_runs(draw):
         lambda cs: Brick(tuple(cs))
     )
     start = draw(st.lists(one_brick, min_size=1, max_size=6))
-    ops = st.sampled_from(["add", "meeting", "pop_meeting", "remove"])
+    ops = st.sampled_from(["add", "meeting", "pop", "remove"])
     return start, draw(st.lists(st.tuples(ops, one_brick, st.integers(0, 15)), max_size=12))
 
 
@@ -286,11 +286,13 @@ def test_one_intersection_per_meet(monkeypatch):
 def test_range_index_matches_a_live_model(run):
     # The index against a dict of live bricks: adds, queries, pops and
     # single removals in any order, cells as deep as the exponent limit
-    # (65-bit cell ints). No add hands out an id given up since the last pop.
+    # (65-bit cell ints). A pop is the verifier's: `meeting`, then `remove`
+    # of each id found. A removed id is free for the next add at once, so
+    # no id reaches the most bricks live at once.
     start, steps = run
     index = geometry._RangeIndex([b.ints for b in start])
     live = dict(enumerate(start))
-    held = set()
+    most = len(live)
     probes = start + [b for _, b, _ in steps]
 
     def expected(d):
@@ -300,43 +302,24 @@ def test_range_index_matches_a_live_model(run):
         d = b.ints
         if op == "add":
             i = index.add(d)
-            assert i not in held and i not in live
+            assert i not in live
             live[i] = b
+            most = max(most, len(live))
+            assert i < most
         elif op == "meeting":
             assert index.meeting(d) == expected(b)
         elif op == "remove":
             if live:
                 i = sorted(live)[k % len(live)]
                 assert index.remove(i) == live.pop(i).ints
-                held.add(i)
         else:
-            want = sorted((i, live[i].ints) for i in expected(b))
-            assert sorted(index.pop_meeting(d)) == want
-            for i, _ in want:
-                del live[i]
-            held = {i for i, _ in want}
+            found = index.meeting(d)
+            assert found == expected(b)
+            for i in found:
+                assert index.remove(i) == live.pop(i).ints
         assert {i: x.ints for i, x in live.items()} == index.bricks
         for probe in probes:
             assert index.meeting(probe.ints) == expected(probe)
-
-
-def test_ids_from_a_pop_are_reused_only_from_the_next_pop():
-    # The verifier files the halves it cuts from popped pieces while it
-    # still holds the popped ids, so no add may hand one of them out again.
-    quarters = [brick(f"{i}/2^1,{j}/2^1") for i in range(2) for j in range(2)]
-    index = geometry._RangeIndex([b.ints for b in quarters])
-    popped = {i for i, _ in index.pop_meeting(brick("0/2^1,0/2^0").ints)}
-    assert popped == {0, 1}
-    fine = [brick(f"{k}/2^3,0/2^1").ints for k in range(4)]
-    added = [index.add(c) for c in fine]
-    assert not popped & set(added)
-    assert added == [4, 5, 6, 7]
-    assert index.remove(added[0]) == fine[0]
-    assert index.pop_meeting(brick("0/2^1,1/2^1").ints) == []
-    # From this pop on the freed ids come back, so the masks stay as
-    # narrow as the most ids in use at once.
-    assert sorted(index.add(c) for c in fine[:3]) == [0, 1, 4]
-    assert index.meeting(brick("0/2^1,0/2^0").ints) == {0, 1, 4, 5, 6, 7}
 
 
 def test_thousand_split_chain_validates_within_a_second():
