@@ -5,8 +5,9 @@ and answered "no" (equal, verify, or a factorization whose self-check
 failed), 2 for usage or data errors.
 
 Output files are written atomically (temp file plus rename) and only after
-all computation finished, so a failing invocation never leaves partial
-results behind.
+all computation finished, and a command renames none of its outputs until
+all are written, so a failing invocation never leaves partial results
+behind.
 """
 
 from __future__ import annotations
@@ -57,16 +58,32 @@ def _read(path: str) -> str:
         raise NvError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nvbaker-")
+def _write_atomic(*outputs: tuple[str, str]) -> None:
+    """Write each (path, text) through a temp file beside it, then rename.
+
+    Every temp file is written before any is renamed, so a failure while
+    writing leaves none of the outputs behind; a rename that fails leaves
+    only the outputs renamed before it. Files get the mode ``open`` would
+    give them under the current umask, not mkstemp's 0o600.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    temps: list[str] = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(path)), prefix=".nvbaker-"
+            )
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                os.fchmod(fd, 0o666 & ~umask)
+                handle.write(text)
+        for tmp, (path, _text) in zip(temps, outputs):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -103,13 +120,13 @@ def _baker_spec(args: argparse.Namespace) -> BakerSpec:
 def _cmd_compose(args: argparse.Namespace) -> int:
     f = _load_element_file(args.first)
     g = _load_element_file(args.second)
-    _write_atomic(args.output, serialize_element(then(f, g)))
+    _write_atomic((args.output, serialize_element(then(f, g))))
     return 0
 
 
 def _cmd_inverse(args: argparse.Namespace) -> int:
     f = _load_element_file(args.element)
-    _write_atomic(args.output, serialize_element(inverse(f)))
+    _write_atomic((args.output, serialize_element(inverse(f))))
     return 0
 
 
@@ -129,7 +146,7 @@ def _cmd_equal(args: argparse.Namespace) -> int:
 
 def _cmd_baker(args: argparse.Namespace) -> int:
     spec = _baker_spec(args)
-    _write_atomic(args.output, serialize_element(make_baker(spec)))
+    _write_atomic((args.output, serialize_element(make_baker(spec))))
     return 0
 
 
@@ -143,7 +160,7 @@ def _cmd_transpose(args: argparse.Namespace) -> int:
                 f"{len(bricks)} bricks"
             )
     spec = TranspositionSpec(Partition(tuple(bricks)), bricks[p], bricks[q])
-    _write_atomic(args.output, serialize_element(make_transposition(spec)))
+    _write_atomic((args.output, serialize_element(make_transposition(spec))))
     return 0
 
 
@@ -169,9 +186,10 @@ def _cmd_factor_baker(args: argparse.Namespace) -> int:
     spec = _baker_spec(args)
     epsilon = None if args.epsilon is None else parse_dyadic(args.epsilon)
     report = factor_baker(spec, epsilon)
-    _write_atomic(args.output, serialize_word(report.word))
+    outputs = [(args.output, serialize_word(report.word))]
     if args.report is not None:
-        _write_atomic(args.report, _report_json(report))
+        outputs.append((args.report, _report_json(report)))
+    _write_atomic(*outputs)
     if not report.verified:
         print("factorization self-check failed", file=sys.stderr)
         return 1
@@ -190,7 +208,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     f = _load_element_file(args.element)
-    _write_atomic(args.output, render_svg(f))
+    _write_atomic((args.output, render_svg(f)))
     return 0
 
 
@@ -207,11 +225,11 @@ def _cmd_random(args: argparse.Namespace) -> int:
         raise NvError(str(exc)) from exc
     texts = [serialize_element(random_element(spec)) for spec in specs]
     if args.count == 1 and not os.path.isdir(args.output):
-        _write_atomic(args.output, texts[0])
+        _write_atomic((args.output, texts[0]))
         return 0
     os.makedirs(args.output, exist_ok=True)
-    for index, text in enumerate(texts):
-        _write_atomic(os.path.join(args.output, f"element-{index:04d}.nv"), text)
+    names = [os.path.join(args.output, f"element-{k:04d}.nv") for k in range(len(texts))]
+    _write_atomic(*zip(names, texts))
     return 0
 
 
@@ -269,7 +287,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="also write a JSON report here")
     p.add_argument(
         "--epsilon",
-        help="also split supports below this diameter (a dyadic like 1/2^3)",
+        help=(
+            "also split supports below this diameter (a dyadic like 1/2^3); "
+            "refused when the word would pass 2^17 - 1 factors (below 1/2^6 "
+            "on the unit square)"
+        ),
     )
     p.set_defaults(func=_cmd_factor_baker)
 

@@ -5,8 +5,9 @@ The pipeline:
   split_baker          one baker's map -> two half-support baker's maps
                        plus a correcting transposition (the support halved
                        along the split axis or along the merge axis)
-  shrink               iterate splits until every support's diameter is
-                       below a requested bound
+  shrink               one recursive walk of splits (`_split_tree`: lower
+                       half, upper half, then the transposition) until every
+                       support's diameter is below a requested bound
   cancel_disjoint_pair three transpositions multiplying to
                        baker(a) . baker(b)^-1 for disjoint same-axes supports
   factor_small_baker   one baker's map with small support -> seven proper
@@ -21,6 +22,12 @@ Each transposition's ambient is one `tile_complement` of some holes, with
 each hole whole or halved by `Brick.split`. The tiling is validated once
 with its holes (`_complement`), which covers every ambient built from it;
 the public `make_transposition` still validates its ambient in full.
+
+The split tree is complete: whether a baker is too big, and along which
+axis it halves, depend only on its support's depths, and both halves have
+the same depths. So every baker at one depth splits or none does, a tree
+of depth D has 2^D small bakers and a word of 2^(D+3) - 1 factors, and
+`MAX_SPLIT_DEPTH` bounds the work before it grows.
 
 Throughout, words multiply left to right: the first factor applies first.
 """
@@ -42,6 +49,12 @@ from .elements import (
 from .generators import BakerSpec, _check_ambient, _swap, make_baker
 
 SplitKind = Literal["domain", "range"]
+
+# The deepest split tree `_split_tree` builds. A complete tree of depth D
+# gives 2^(D+3) - 1 factors, so a word has at most 131,071; the CLI's
+# `factor-baker` of that size took 33-37 s and peaked at 801 MB on a 2-vCPU
+# machine, and each level of the tree doubles both.
+MAX_SPLIT_DEPTH = 14
 
 
 def split_baker(
@@ -104,9 +117,7 @@ def shrink(spec: BakerSpec, epsilon: Fraction) -> ShrinkResult:
     """Split until every baker's support has diameter strictly below epsilon."""
     epsilon = Fraction(epsilon)
     _check_reachable(spec, epsilon)
-    sequence, _levels = _split_rounds(
-        spec, lambda b: b.support.diameter >= epsilon
-    )
+    sequence, _levels = _split_tree(spec, lambda b: b.support.diameter >= epsilon)
     return ShrinkResult(spec, epsilon, tuple(sequence))
 
 
@@ -133,31 +144,36 @@ def _check_reachable(spec: BakerSpec, epsilon: Fraction) -> None:
             )
 
 
-def _split_rounds(
+def _split_tree(
     spec: BakerSpec, too_big: Callable[[BakerSpec], bool]
-) -> tuple[list[BakerSpec | Element], list[tuple[BakerSpec, ...]]]:
-    """Split every oversized baker once per round until none remain.
+) -> tuple[list[BakerSpec | Element], list[list[BakerSpec]]]:
+    """Split each oversized baker, lower half first, until none remains.
 
-    Each split replaces the baker in place with (lower, upper, transposition),
-    preserving the product. Returns the final sequence and the per-round
-    supports, including the input as round zero.
+    Returns the sequence, with each split baker replaced by (lower, upper,
+    t), and the bakers at each depth. Every baker at a depth splits or none
+    does (see the module docstring), so the last depth is the small bakers.
     """
-    sequence: list[BakerSpec | Element] = [spec]
-    levels: list[tuple[BakerSpec, ...]] = [(spec,)]
-    while True:
-        big = [
-            k
-            for k, x in enumerate(sequence)
-            if isinstance(x, BakerSpec) and too_big(x)
-        ]
-        if not big:
-            return sequence, levels
-        for k in reversed(big):
-            item = sequence[k]
-            assert isinstance(item, BakerSpec)
-            t, lower, upper = split_baker(item, _wider_axis_kind(item))
-            sequence[k : k + 1] = [lower, upper, t]
-        levels.append(tuple(x for x in sequence if isinstance(x, BakerSpec)))
+    sequence: list[BakerSpec | Element] = []
+    levels: dict[int, list[BakerSpec]] = {}  # first visits come in depth order
+
+    def walk(b: BakerSpec, depth: int) -> None:
+        levels.setdefault(depth, []).append(b)
+        if not too_big(b):
+            sequence.append(b)
+            return
+        if depth == MAX_SPLIT_DEPTH:
+            raise FactorizationError(
+                f"support {b.support} needs splitting past depth "
+                f"{MAX_SPLIT_DEPTH}: the word would exceed the limit of "
+                f"2^{MAX_SPLIT_DEPTH + 3} - 1 = {(1 << MAX_SPLIT_DEPTH + 3) - 1:,} factors"
+            )
+        t, lower, upper = split_baker(b, _wider_axis_kind(b))
+        walk(lower, depth + 1)
+        walk(upper, depth + 1)
+        sequence.append(t)
+
+    walk(spec, 0)
+    return sequence, list(levels.values())
 
 
 def _wider_axis_kind(spec: BakerSpec) -> SplitKind:
@@ -280,7 +296,7 @@ def factor_baker(
             return True
         return epsilon is not None and b.support.diameter >= epsilon
 
-    sequence, levels = _split_rounds(spec, too_big)
+    sequence, levels = _split_tree(spec, too_big)
     factors: list[Element] = []
     for item in sequence:
         if isinstance(item, BakerSpec):
@@ -292,8 +308,8 @@ def factor_baker(
         input=spec,
         epsilon=epsilon,
         word=word,
-        levels=tuple(levels),
-        small_bakers=tuple(x for x in sequence if isinstance(x, BakerSpec)),
+        levels=tuple(map(tuple, levels)),
+        small_bakers=tuple(levels[-1]),
         split_transpositions=tuple(x for x in sequence if isinstance(x, Element)),
         verified=verify_word(word, spec),
     )

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -69,6 +70,16 @@ class TestBakerCommand:
         code, _, _ = run("baker", "--dim", "2", "--axes", "0,1", "-o", str(out))
         assert code == 0
         assert out.read_text() == BAKER_TEXT
+
+    def test_output_mode_follows_the_umask(self, run, tmp_path):
+        out = tmp_path / "b.nv"
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run("baker", "--dim", "2", "--axes", "0,1", "-o", str(out))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
 
     def test_with_support(self, run, tmp_path):
         out = tmp_path / "b.nv"
@@ -283,6 +294,16 @@ class TestFactorBakerCommand:
         assert payload["epsilon"] == "1/2"
         assert payload["levels"][0] == ["0/2^0,0/2^0"]
 
+    def test_unwritable_report_leaves_no_word(self, run, tmp_path):
+        word, report = tmp_path / "w.nvw", tmp_path / "missing" / "r.json"
+        code, stdout, err = run(
+            "factor-baker", "--dim", "2", "--axes", "0,1", "--epsilon", "1/2^1",
+            "-o", str(word), "--report", str(report),
+        )
+        assert code == 2
+        assert err.startswith("error:") and stdout == ""
+        assert os.listdir(tmp_path) == []
+
     def test_quarter_epsilon_bytes_are_pinned(self, run, tmp_path):
         word, report = tmp_path / "w.nvw", tmp_path / "r.json"
         code, _, _ = run(
@@ -440,6 +461,9 @@ FAIL_CLOSED_CASES = {
     ),
     "epsilon_huge_exponent": (
         "factor-baker", "--dim", "2", "--axes", "0,1", "--epsilon", "1/2^10000000000",
+    ),
+    "epsilon_past_split_depth": (
+        "factor-baker", "--dim", "2", "--axes", "0,1", "--epsilon", "1/2^12",
     ),
     "support_long_numerator": (
         "baker", "--support", "9" * 5000 + "/2^3,0/2^0", "--axes", "0,1",

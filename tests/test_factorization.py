@@ -320,6 +320,65 @@ class TestFactorBaker:
             "838ad214031aa48d0b0aacef1eae266c148d02651b5358a665c72420320df76d"
         )
 
+    def test_eighth_epsilon_splits_each_node_once(self, split_calls):
+        # 255 splits in the tree and one in each of the 256 small bakers.
+        factor_baker(UNIT2, Fraction(1, 8))
+        assert split_calls[0] == 511
+
+    def test_split_depth_is_bounded(self, split_calls):
+        # 1/2^6 needs depth 14 (131,071 factors); 1/2^7 would need 16.
+        epsilon = Fraction(1, 1 << 7)
+        with pytest.raises(FactorizationError, match=r"2\^17 - 1 = 131,071 factors"):
+            factor_baker(UNIT2, epsilon)
+        assert split_calls[0] == factorization.MAX_SPLIT_DEPTH
+        with pytest.raises(FactorizationError, match="past depth 14"):
+            shrink(UNIT2, epsilon)
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """How many times `split_baker` ran since the fixture was set up."""
+    calls = [0]
+    real = factorization.split_baker
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(factorization, "split_baker", counted)
+    return calls
+
+
+@st.composite
+def reachable_bakers(draw):
+    """A baker spec on a random support in dimensions 2 to 4, with no
+    epsilon or a dyadic one at most 1 that splitting can reach."""
+    dim = draw(st.integers(2, 4))
+    i, j = draw(st.permutations(range(dim)))[:2]
+    exponents = [draw(st.integers(0, 3)) for _ in range(dim)]
+    cells = [Cell(e, draw(st.integers(0, (1 << e) - 1))) for e in exponents]
+    spec = BakerSpec(Brick(tuple(cells)), i, j)
+    off_plane = [e for axis, e in enumerate(exponents) if axis not in (i, j)]
+    finest = min([2, *(e - 1 for e in off_plane)])  # epsilon must pass every off-plane side
+    if finest < 0 or draw(st.booleans()):
+        return spec, None
+    return spec, Fraction(1, 1 << draw(st.integers(0, finest)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(reachable_bakers())
+def test_split_tree_is_complete(case):
+    spec, epsilon = case
+    report = factor_baker(spec, epsilon)
+    depth = len(report.levels) - 1
+    assert [len(level) for level in report.levels] == [1 << r for r in range(depth + 1)]
+    assert report.small_bakers == report.levels[-1]
+    assert len(report.word) == (1 << depth + 3) - 1
+    if epsilon is not None:  # at most 1, so shrink splits exactly the same bakers
+        result = shrink(spec, epsilon)
+        assert len(result.sequence) == (1 << depth + 1) - 1
+        assert result.small_bakers == report.small_bakers
+
 
 def _drop(tiles):
     return tiles[1:]
