@@ -64,8 +64,15 @@ def _write_atomic(*outputs: tuple[str, str]) -> None:
     Every temp file is written before any is renamed, so a failure while
     writing leaves none of the outputs behind; a rename that fails leaves
     only the outputs renamed before it. Files get the mode ``open`` would
-    give them under the current umask, not mkstemp's 0o600.
+    give them under the current umask, not mkstemp's 0o600. Two outputs
+    that are one file are refused before anything is written.
     """
+    named: dict[str, str] = {}
+    for path, _text in outputs:
+        real = os.path.realpath(path)
+        if real in named:
+            raise NvError(f"outputs {named[real]} and {path} are the same file")
+        named[real] = path
     umask = os.umask(0)
     os.umask(umask)
     temps: list[str] = []

@@ -48,7 +48,7 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair:
     """One brick of the domain partition and its image brick."""
 
@@ -221,19 +221,19 @@ def equals_witness(f: Element, g: Element) -> tuple[Fraction, ...] | None:
     """None when equal, else a point where the two maps disagree.
 
     The domains' common refinement is walked in (f-pair, g-pair) order,
-    which fixes the witness. On a refinement piece both restrictions are
-    canonical affine maps, so they differ exactly when their image bricks
-    differ: at the piece's corner when the image corners differ, otherwise
-    (equal corners, some axis scale differs) at the piece's midpoint.
+    which fixes the witness. `_meets` yields it in that order, one piece at
+    a time, so the walk stops at the first piece where the maps differ. On
+    a refinement piece both restrictions are canonical affine maps, so they
+    differ exactly when their image bricks differ: at the piece's corner
+    when the image corners differ, otherwise (equal corners, some axis
+    scale differs) at the piece's midpoint.
     """
     if f.dimension != g.dimension:
         raise DimensionMismatchError(
             f"cannot compare elements of dimensions {f.dimension} and {g.dimension}"
         )
     fp, gp = _pieces(f), _pieces(g)
-    meets = _meets([d for d, _ in fp], [d for d, _ in gp])
-    meets.sort(key=lambda m: (m[0], m[1]))
-    for i, j, piece in meets:
+    for j, i, piece in _meets([d for d, _ in gp], [d for d, _ in fp]):
         fi, gi = _carry(piece, *fp[i]), _carry(piece, *gp[j])
         if fi == gi:
             continue

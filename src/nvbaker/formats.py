@@ -142,8 +142,10 @@ def _parse_header(lines: list[Line]) -> int:
             f"syntax error: expected header 'NV <dimension>', got {content!r}", number
         )
     dimension = _int(m.group(1), number, indent + m.start(1) + 1)
-    if dimension < 1:
-        raise ParseError(f"semantic error: dimension must be >= 1, got {dimension}", number)
+    if not 1 <= dimension <= MAX_DIMENSION:
+        raise ParseError(
+            f"semantic error: dimension must be in 1..{MAX_DIMENSION}, got {dimension}", number
+        )
     return dimension
 
 

@@ -220,25 +220,23 @@ def bricks_disjoint(a: Brick, b: Brick) -> bool:
 
 def _meets(
     xs: Sequence[tuple[int, ...]], ys: Sequence[tuple[int, ...]]
-) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Every nonempty meet xs[i] & ys[j], as (i, j, meet), each pair once.
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Yield every nonempty meet xs[i] & ys[j] as (i, j, meet), each pair once.
 
     The lists hold cell-int bricks of one dimension, xs nonempty, unchecked;
-    they may overlap themselves or repeat a brick. The result is unordered.
-    The bricks of xs go into a `_RangeIndex`, and each brick of ys asks it
-    for the ids of the bricks it meets. The index proves each meet, so the
-    meet is just the finer cell, the larger int, on every axis, and no
-    failed candidate is built. A query ORs one id mask per prefix of its
-    cell on each axis and ANDs the axes, so it costs its cells' total depth
-    in mask operations, each as wide as xs is long, plus one step per meet
-    found.
+    they may overlap themselves or repeat a brick. The bricks of xs go into
+    a `_RangeIndex`, and each brick of ys in turn asks it for the ids of the
+    bricks it meets, so the meets come lazily in (j, i) order. The index
+    proves each meet, so the meet is just the finer cell, the larger int, on
+    every axis, and no failed candidate is built. A query ORs one id mask
+    per prefix of its cell on each axis and ANDs the axes, so it costs its
+    cells' total depth in mask operations, each as wide as xs is long, plus
+    one step per meet found.
     """
     index = _RangeIndex(xs)
-    return [
-        (i, j, tuple(map(max, xs[i], y)))
-        for j, y in enumerate(ys)
-        for i in index.meeting(y)
-    ]
+    for j, y in enumerate(ys):
+        for i in index.meeting(y):
+            yield i, j, tuple(map(max, xs[i], y))
 
 
 def _overlaps(cells: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
@@ -246,7 +244,7 @@ def _overlaps(cells: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
     if len(cells) < 2:
         return []
     index = _RangeIndex(cells)
-    return sorted((i, j) for j, c in enumerate(cells) for i in index.meeting(c) if i < j)
+    return [(i, j) for i, c in enumerate(cells) for j in index.meeting(c) if j > i]
 
 
 class _RangeIndex:
@@ -261,7 +259,8 @@ class _RangeIndex:
     proper prefix of h, the cells around it. A query ORs these masks on one
     axis, ANDs the axes together and stops at the first empty one: a bitmap
     index (O'Neil and Quass, SIGMOD 1997) over a hashed dyadic trie in the
-    spirit of Finkel and Bentley's quad trees.
+    spirit of Finkel and Bentley's quad trees. It reads the ids out of the
+    mask lowest bit first, so every answer is in ascending id order.
 
     `remove` frees an id for the next `add` at once, so a mask is never
     wider than the most ids in use at once. The index keeps one mask per
@@ -290,8 +289,8 @@ class _RangeIndex:
                 c >>= 1
         return i
 
-    def meeting(self, d: tuple[int, ...]) -> set[int]:
-        """The ids of the indexed bricks that meet brick d."""
+    def meeting(self, d: tuple[int, ...]) -> list[int]:
+        """The ids of the indexed bricks that meet brick d, in ascending order."""
         found = -1  # every id, until an axis narrows it
         for (exact, under), h in zip(self.axes, d):
             nested = under.get(h, 0)
@@ -301,11 +300,11 @@ class _RangeIndex:
                 h >>= 1
             found &= nested
             if not found:
-                return set()
-        ids = set()
-        while found:
+                return []
+        ids = []
+        while found:  # lowest bit first, so the ids come out ascending
             low = found & -found
-            ids.add(low.bit_length() - 1)
+            ids.append(low.bit_length() - 1)
             found ^= low
         return ids
 

@@ -304,6 +304,22 @@ class TestFactorBakerCommand:
         assert err.startswith("error:") and stdout == ""
         assert os.listdir(tmp_path) == []
 
+    def test_report_on_the_word_path_is_refused(self, run, tmp_path):
+        # The same file, named twice or through another spelling of its
+        # path: a report written over the word would lose the word.
+        target = tmp_path / "F"
+        target.write_text("kept\n")
+        for report in (str(target), f"{tmp_path}/./F", f"{tmp_path}/sub/../F"):
+            code, stdout, err = run(
+                "factor-baker", "--dim", "2", "--axes", "0,1",
+                "-o", str(target), "--report", report,
+            )
+            assert code == 2
+            assert err.startswith("error:") and "same file" in err
+            assert stdout == ""
+            assert os.listdir(tmp_path) == ["F"]
+            assert target.read_text() == "kept\n"
+
     def test_quarter_epsilon_bytes_are_pinned(self, run, tmp_path):
         word, report = tmp_path / "w.nvw", tmp_path / "r.json"
         code, _, _ = run(
@@ -506,6 +522,8 @@ BAD_FILES = {
     "tree_long_axis": "(S" + "9" * 5000 + " L0 L1) => (S0 L1 L0)\n",
     "tree_long_label": "(S0 L0 L1) => (S0 L1 L" + "9" * 5000 + ")\n",
     "tree_dim_too_large": "(S64 L0 L1) => (S64 L1 L0)\n",
+    "header_dim_too_large": "NV 65\n" + ",".join(["0/2^0"] * 65) + " -> "
+    + ",".join(["0/2^0"] * 65) + "\n",
 }
 
 

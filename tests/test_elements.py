@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,19 @@ class TestEquals:
         assert not equals(identity(2), identity(3))
 
 
+def slab_identity(axis: int, exponent: int, swap_last: bool = False) -> Element:
+    """The square cut into 2^exponent slabs across one axis, each mapped to itself.
+
+    With `swap_last`, the last two slabs trade places instead.
+    """
+    slabs = [
+        Brick(tuple(Cell(exponent, k) if a == axis else Cell(0, 0) for a in range(2)))
+        for k in range(1 << exponent)
+    ]
+    images = slabs[:-2] + slabs[:-3:-1] if swap_last else slabs
+    return Element(2, tuple(Pair(d, r) for d, r in zip(slabs, images)))
+
+
 class TestEqualsWitness:
     def test_none_for_equal(self):
         assert equals_witness(unit_baker(), unit_baker()) is None
@@ -246,6 +260,21 @@ class TestEqualsWitness:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             equals_witness(identity(2), identity(3))
+
+    def test_slab_walk_holds_one_piece_at_a_time(self):
+        # 2^8 slabs across each axis meet in 2^16 pieces, about 13 MB as a
+        # list. The walk holds the two elements' pieces and the index, one
+        # meet at a time, and stops at the first differing piece.
+        f, g = slab_identity(0, 8), slab_identity(1, 8)
+        tracemalloc.start()
+        try:
+            assert equals_witness(f, g) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        swapped = slab_identity(1, 8, swap_last=True)
+        assert equals_witness(f, swapped) == (0, Fraction(127, 128))
 
     def test_witness_is_first_in_pair_order(self):
         # The witness comes from the first differing piece in (f-pair,

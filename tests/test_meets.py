@@ -27,7 +27,7 @@ MAX_DEPTH = 5
 
 def meets(xs, ys):
     """`geometry._meets` on the bricks' cell ints, which needs xs nonempty."""
-    return geometry._meets([x.ints for x in xs], [y.ints for y in ys]) if xs else []
+    return list(geometry._meets([x.ints for x in xs], [y.ints for y in ys])) if xs else []
 
 
 def all_pairs_meets(xs, ys):
@@ -59,6 +59,7 @@ def assert_same_meets(xs, ys):
     got = meets(xs, ys)
     keys = [(i, j) for i, j, _ in got]
     assert len(keys) == len(set(keys)), "a pair was reported twice"
+    assert keys == sorted(keys, key=lambda k: (k[1], k[0])), "not in (query, id) order"
     assert sorted(got, key=lambda m: m[:2]) == all_pairs_meets(xs, ys)
 
 
@@ -221,7 +222,16 @@ def test_pair_coarse_on_split_axis_in_both_lists_reported_once():
 
 
 def test_empty_lists_have_no_meets():
-    assert geometry._meets([brick("0/2^0,0/2^0").ints], []) == []
+    assert list(geometry._meets([brick("0/2^0,0/2^0").ints], [])) == []
+
+
+def test_ids_come_in_ascending_order():
+    # A set of the ids 3 and 9 iterates 9 first; the index answers 3, 9.
+    xs = [brick(f"{k}/2^4,0/2^1") for k in range(16)]
+    xs[3], xs[9] = brick("3/2^4,1/2^1"), brick("9/2^4,1/2^1")
+    query = brick("0/2^0,1/2^1")
+    assert geometry._RangeIndex([x.ints for x in xs]).meeting(query.ints) == [3, 9]
+    assert meets(xs, [query]) == [(3, 0, xs[3].ints), (9, 0, xs[9].ints)]
 
 
 @settings(deadline=None, max_examples=25)
@@ -307,19 +317,19 @@ def test_range_index_matches_a_live_model(run):
             most = max(most, len(live))
             assert i < most
         elif op == "meeting":
-            assert index.meeting(d) == expected(b)
+            assert index.meeting(d) == sorted(expected(b))
         elif op == "remove":
             if live:
                 i = sorted(live)[k % len(live)]
                 assert index.remove(i) == live.pop(i).ints
         else:
             found = index.meeting(d)
-            assert found == expected(b)
+            assert found == sorted(expected(b))
             for i in found:
                 assert index.remove(i) == live.pop(i).ints
         assert {i: x.ints for i, x in live.items()} == index.bricks
         for probe in probes:
-            assert index.meeting(probe.ints) == expected(probe)
+            assert index.meeting(probe.ints) == sorted(expected(probe))
 
 
 def test_thousand_split_chain_validates_within_a_second():
