@@ -13,7 +13,6 @@ behind.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -172,6 +171,8 @@ def _cmd_transpose(args: argparse.Namespace) -> int:
 
 
 def _report_json(report: FactorizationReport) -> str:
+    import json  # only this command option writes JSON, so other commands skip its import
+
     payload = {
         "dimension": report.input.dimension,
         "support": str(report.input.support),

@@ -29,7 +29,6 @@ presentation of the prefix product, not the word's refinement.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -40,6 +39,7 @@ from .geometry import (
     Partition,
     brick_intersect,  # noqa: F401 (a binding perfbench/test_tracer.py checks)
     _RangeIndex,
+    _Record,
     _meets,
     _sort_key,
     _total_measure,
@@ -48,14 +48,13 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Pair:
+class Pair(_Record):
     """One brick of the domain partition and its image brick."""
 
-    domain: Brick
-    range: Brick
+    __slots__ = ("domain", "range")
 
-    def __post_init__(self) -> None:
+    def __init__(self, domain: Brick, range: Brick) -> None:
+        self._set(domain, range)
         if self.domain.dimension != self.range.dimension:
             raise DimensionMismatchError(
                 f"pair mixes dimensions {self.domain.dimension} and {self.range.dimension}"
@@ -94,8 +93,7 @@ def _carry(sub: tuple[int, ...], src: tuple[int, ...], dst: tuple[int, ...]) -> 
     return image
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(_Record):
     """A dyadic rearrangement, stored as pairs sorted by domain brick.
 
     The constructor sorts the pairs (any sequence) into a tuple but does not
@@ -103,8 +101,13 @@ class Element:
     Operations inside the library build elements correct by construction.
     """
 
-    dimension: int
-    pairs: tuple[Pair, ...]
+    __slots__ = ("dimension", "pairs")
+
+    def __init__(self, dimension: int, pairs: Iterable[Pair]) -> None:
+        # Set directly, not by `_set`: that call costs as much again, per element.
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "pairs", pairs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -303,14 +306,13 @@ def coarsen(f: Element) -> Element:
     return Element(f.dimension, list(live.values()))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """A finite sequence of elements, applied first factor first."""
 
-    dimension: int
-    factors: tuple[Element, ...]
+    __slots__ = ("dimension", "factors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, dimension: int, factors: Iterable[Element]) -> None:
+        self._set(dimension, tuple(factors))
         for e in self.factors:
             if e.dimension != self.dimension:
                 raise DimensionMismatchError("word factor of wrong dimension")

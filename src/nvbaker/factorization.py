@@ -34,12 +34,11 @@ Throughout, words multiply left to right: the first factor applies first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal
 
 from .errors import FactorizationError
-from .geometry import MAX_EXPONENT, Brick, bricks_disjoint, tile_complement
+from .geometry import MAX_EXPONENT, Brick, _Record, bricks_disjoint, tile_complement
 from .elements import (
     Element,
     Word,
@@ -91,8 +90,7 @@ def _complement(dimension: int, holes: list[Brick]) -> list[Brick]:
     return outside
 
 
-@dataclass(frozen=True)
-class ShrinkResult:
+class ShrinkResult(_Record):
     """A baker's map rewritten as small baker's maps and transpositions.
 
     ``sequence`` holds the factors in application order (first factor
@@ -100,9 +98,12 @@ class ShrinkResult:
     order their composite acts.
     """
 
-    input: BakerSpec
-    epsilon: Fraction | None
-    sequence: tuple[BakerSpec | Element, ...]
+    __slots__ = ("input", "epsilon", "sequence")
+
+    def __init__(
+        self, input: BakerSpec, epsilon: Fraction | None, sequence: tuple[BakerSpec | Element, ...]
+    ) -> None:
+        self._set(input, epsilon, sequence)
 
     @property
     def small_bakers(self) -> tuple[BakerSpec, ...]:
@@ -264,17 +265,24 @@ def _disjoint_partner(a_brick: Brick, j: int) -> Brick:
     return sibling
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(_Record):
     """Everything factor_baker did: the word, the stages, and the check."""
 
-    input: BakerSpec
-    epsilon: Fraction | None
-    word: Word
-    levels: tuple[tuple[BakerSpec, ...], ...]
-    small_bakers: tuple[BakerSpec, ...]
-    split_transpositions: tuple[Element, ...]
-    verified: bool
+    __slots__ = (
+        "input", "epsilon", "word", "levels", "small_bakers", "split_transpositions", "verified"
+    )
+
+    def __init__(
+        self,
+        input: BakerSpec,
+        epsilon: Fraction | None,
+        word: Word,
+        levels: tuple[tuple[BakerSpec, ...], ...],
+        small_bakers: tuple[BakerSpec, ...],
+        split_transpositions: tuple[Element, ...],
+        verified: bool,
+    ) -> None:
+        self._set(input, epsilon, word, levels, small_bakers, split_transpositions, verified)
 
 
 def factor_baker(

@@ -11,22 +11,18 @@ the two axes, and the complement tiling determine the element exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GeometryError, PartitionError
-from .geometry import Brick, Partition, partition_validate, peel_to_unit
+from .geometry import Brick, Partition, _Record, partition_validate, peel_to_unit
 from .elements import Element, Pair, coarsen
 
 
-@dataclass(frozen=True)
-class TranspositionSpec:
+class TranspositionSpec(_Record):
     """An ambient partition with two designated bricks to swap."""
 
-    ambient: Partition
-    a: Brick
-    b: Brick
+    __slots__ = ("ambient", "a", "b")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ambient: Partition, a: Brick, b: Brick) -> None:
+        self._set(ambient, a, b)
         if self.a not in self.ambient or self.b not in self.ambient:
             raise GeometryError("swapped bricks must be members of the ambient partition")
         if self.a == self.b:
@@ -55,15 +51,13 @@ def _swap(ambient: tuple[Brick, ...], a: Brick, b: Brick) -> Element:
     return Element(a.dimension, [Pair._of(x, image.get(x, x)) for x in ambient])
 
 
-@dataclass(frozen=True)
-class BakerSpec:
+class BakerSpec(_Record):
     """A baker's map: halve `support` along `split_axis`, restack along `merge_axis`."""
 
-    support: Brick
-    split_axis: int
-    merge_axis: int
+    __slots__ = ("support", "split_axis", "merge_axis")
 
-    def __post_init__(self) -> None:
+    def __init__(self, support: Brick, split_axis: int, merge_axis: int) -> None:
+        self._set(support, split_axis, merge_axis)
         dim = self.support.dimension
         for name, axis in (("split_axis", self.split_axis), ("merge_axis", self.merge_axis)):
             if not 0 <= axis < dim:

@@ -22,8 +22,8 @@ under each cell and its prefixes, and a query ANDs one mask per axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -40,14 +40,68 @@ MAX_EXPONENT = 64
 MAX_DIMENSION = 64
 
 
-@dataclass(frozen=True)
-class Cell:
+class _Record:
+    """An immutable record over its `__slots__`, behaving as a frozen dataclass.
+
+    `repr`, equality (with records of the same class only) and hashing read
+    the public slots in order, so ``hash(r) == hash((r.a, r.b, ...))``. A
+    slot named with a leading underscore is a private cache: pickling and
+    copying keep it, nothing else reads it. Setting or deleting any
+    attribute raises `dataclasses.FrozenInstanceError`; `dataclasses` is
+    imported only then, so importing the library does not load it.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # `_fields` names the public slots; `_values(record)` reads them as one tuple.
+        fields = cls._fields = cls.__match_args__ = tuple(n for n in cls.__slots__ if n[0] != "_")
+        get = attrgetter(*fields)  # gives a bare value for one name, so that case is wrapped
+        cls._values = staticmethod(get if len(fields) > 1 else lambda record: (get(record),))
+
+    def _set(self, *values: object) -> None:
+        """Fill the slots in order, bypassing the frozen `__setattr__`."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __getstate__(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set(*state)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Cell(_Record):
     """Half-open dyadic interval [numerator/2^exponent, (numerator+1)/2^exponent)."""
 
-    exponent: int
-    numerator: int
+    __slots__ = ("exponent", "numerator")
 
-    def __post_init__(self) -> None:
+    def __init__(self, exponent: int, numerator: int) -> None:
+        # Set directly, not by `_set`: that call costs as much again, per cell.
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "numerator", numerator)
         if self.exponent < 0:
             raise GeometryError(f"cell exponent must be >= 0, got {self.exponent}")
         if self.exponent > MAX_EXPONENT:
@@ -78,23 +132,21 @@ class Cell:
         return f"{self.numerator}/2^{self.exponent}"
 
 
-@dataclass(frozen=True, init=False, slots=True)
-class Brick:
+class Brick(_Record):
     """Product of one dyadic cell per axis: a half-open box in [0,1)^n.
 
     `Brick(cells)` takes checked `Cell`s and stores one cell int per axis.
     The sort key is computed at most once, on first use, and kept in `_key`;
-    equality and hashing read `ints` alone.
+    equality and hashing read `ints` alone, in methods of their own, as
+    bricks are compared and hashed far more often than any other record.
     """
 
-    ints: tuple[int, ...]
-    _key: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
+    __slots__ = ("ints", "_key")
 
     def __init__(self, cells: Sequence[Cell]) -> None:
         if not cells:
             raise GeometryError("a brick needs at least one axis")
-        object.__setattr__(self, "ints", tuple((1 << c.exponent) | c.numerator for c in cells))
-        object.__setattr__(self, "_key", None)
+        self._set(tuple((1 << c.exponent) | c.numerator for c in cells), None)
 
     @classmethod
     def _of(cls, ints: tuple[int, ...]) -> "Brick":
@@ -160,6 +212,14 @@ class Brick:
         if self._key is None:
             object.__setattr__(self, "_key", _sort_key(self.ints))
         return self._key
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.ints == other.ints
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ints,))
 
     def __str__(self) -> str:
         return ",".join("{1}/2^{0}".format(*_cell_of(c)) for c in self.ints)
@@ -321,23 +381,20 @@ class _RangeIndex:
         return b
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Bricks of a partition of [0,1)^n, given in any sequence, stored sorted.
+class Partition(_Record):
+    """Bricks of a partition of [0,1)^n, given in any iterable, stored sorted.
 
     The constructor checks only that there are bricks and that they share
     one dimension. That they are disjoint and cover the cube is checked by
     `partition_validate`, `make_transposition` and the parsers.
     """
 
-    bricks: tuple[Brick, ...]
+    __slots__ = ("bricks",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, bricks: Iterable[Brick]) -> None:
+        self._set(tuple(sorted(bricks, key=Brick.sort_key)))
         if not self.bricks:
             raise PartitionError("a partition needs at least one brick")
-        object.__setattr__(
-            self, "bricks", tuple(sorted(self.bricks, key=Brick.sort_key))
-        )
         dim = self.bricks[0].dimension
         for b in self.bricks:
             if b.dimension != dim:
@@ -357,12 +414,13 @@ class Partition:
         return brick in self.bricks
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Outcome of a partition check; falsy when problems were found."""
 
-    ok: bool
-    problems: tuple[str, ...]
+    __slots__ = ("ok", "problems")
+
+    def __init__(self, ok: bool, problems: tuple[str, ...]) -> None:
+        self._set(ok, problems)
 
     def __bool__(self) -> bool:
         return self.ok

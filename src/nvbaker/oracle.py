@@ -13,13 +13,12 @@ corpora are reproducible across platforms and processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ResolutionError
 from .elements import Element, Pair
-from .geometry import Brick, Cell, unit_brick
+from .geometry import Brick, Cell, _Record, unit_brick
 
 # numpy is imported inside the grid functions, so importing the library (and
 # the CLI) does not pay for it.
@@ -27,13 +26,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """A comparison lattice: all points with coordinates k/2^resolution."""
 
-    resolution: int
+    __slots__ = ("resolution",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, resolution: int) -> None:
+        self._set(resolution)
         if self.resolution < 0:
             raise ResolutionError(f"resolution must be >= 0, got {self.resolution}")
 
@@ -149,15 +148,13 @@ class Lcg64:
             items[k], items[j] = items[j], items[k]
 
 
-@dataclass(frozen=True)
-class RandomElementSpec:
+class RandomElementSpec(_Record):
     """Shape of a random element: dimension, split depth bound, and seed."""
 
-    dimension: int
-    max_depth: int
-    seed: int
+    __slots__ = ("dimension", "max_depth", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, dimension: int, max_depth: int, seed: int) -> None:
+        self._set(dimension, max_depth, seed)
         if self.dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dimension}")
         if self.max_depth < 0:

@@ -600,3 +600,22 @@ def test_cli_import_leaves_numpy_unloaded():
         env=env,
         check=True,
     )
+
+
+def test_cli_import_loads_no_dataclasses_inspect_json_or_numpy():
+    # What `import nvbaker.cli` adds to a fresh interpreter is what every
+    # command pays before `main` runs; none of these is needed to start.
+    import nvbaker
+
+    src = str(Path(nvbaker.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys; before = set(sys.modules); import nvbaker.cli; "
+        "print(*set(sys.modules) - before)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    added = set(out.split())
+    assert "nvbaker.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "json", "numpy"})

@@ -373,6 +373,13 @@ class TestWord:
         with pytest.raises(DimensionMismatchError):
             Word(2, (identity(3),))
 
+    def test_factors_are_stored_as_a_tuple(self):
+        fs = (unit_baker(), identity(2))
+        from_generator, from_list = Word(2, (f for f in fs)), Word(2, list(fs))
+        for w in (from_generator, from_list):
+            assert w.factors == fs and len(w) == 2
+            assert w == Word(2, fs) and hash(w) == hash(Word(2, fs))
+
 
 # sha256 of serialize_element of products, pinned from the fold over sorted
 # Elements of checked bricks that composition used before it ran on cell ints.

@@ -238,6 +238,13 @@ class TestPartition:
         with pytest.raises(PartitionError):
             Partition(())
 
+    def test_any_iterable_is_sorted_then_checked(self):
+        with pytest.raises(PartitionError):
+            Partition(iter(()))
+        halves = unit_brick(1).split(0)
+        p = Partition(b for b in reversed(halves))
+        assert p.bricks == halves and p == Partition(list(halves))
+
 
 class TestPartitionValidate:
     def test_valid(self):
