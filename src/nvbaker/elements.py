@@ -40,9 +40,9 @@ from .geometry import (
     brick_intersect,  # noqa: F401 (a binding perfbench/test_tracer.py checks)
     _RangeIndex,
     _Record,
+    _cell_count,
     _meets,
     _sort_key,
-    _total_measure,
     partition_validate,
     unit_brick,
 )
@@ -98,7 +98,8 @@ class Element(_Record):
 
     The constructor sorts the pairs (any sequence) into a tuple but does not
     validate; use `from_pairs` for checked construction from untrusted data.
-    Operations inside the library build elements correct by construction.
+    Operations inside the library build elements correct by construction,
+    and `_of` takes pairs already in domain order without sorting them.
     """
 
     __slots__ = ("dimension", "pairs")
@@ -115,6 +116,14 @@ class Element(_Record):
             "pairs",
             tuple(sorted(self.pairs, key=lambda p: p.domain.sort_key())),
         )
+
+    @classmethod
+    def _of(cls, dimension: int, pairs: tuple[Pair, ...]) -> "Element":
+        """An element of pairs already sorted by domain sort key, as the library builds them."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "dimension", dimension)
+        object.__setattr__(element, "pairs", pairs)
+        return element
 
     @staticmethod
     def from_pairs(pairs: Iterable[Pair]) -> "Element":
@@ -356,8 +365,8 @@ def product_equals(word: Word, target: Element) -> bool:
     pieces = _product_pieces(word, target)
     # The domains are cut from the cube, so their measures add up to 1
     # unless a piece was lost or duplicated.
-    domains = [dom for dom, _ in pieces]
-    return _total_measure(domains) == 1 and all(dom == rng for dom, rng in pieces)
+    count, cube = _cell_count([dom for dom, _ in pieces])
+    return count == cube and all(dom == rng for dom, rng in pieces)
 
 
 def _product_pieces(word: Word, target: Element) -> list[_Piece]:
@@ -373,7 +382,8 @@ def _product_pieces(word: Word, target: Element) -> list[_Piece]:
     than the word's refinement.
     """
     cube = (1,) * word.dimension
-    index = _RangeIndex([cube])  # indexes the ranges
+    index = _RangeIndex((), word.dimension)  # indexes the ranges
+    index.add(cube)
     live = {cube: (0, cube)}  # each piece's range: its id in the index, its domain
     for f in (*word.factors, inverse(target)):
         moved = []

@@ -18,10 +18,13 @@ The pipeline:
                        (`verify_word`: one pass that applies each factor only
                        where it moves points, not a fold of the whole word)
 
-Each transposition's ambient is one `tile_complement` of some holes, with
-each hole whole or halved by `Brick.split`. The tiling is validated once
-with its holes (`_complement`), which covers every ambient built from it;
-the public `make_transposition` still validates its ambient in full.
+Every stage builds its transpositions on cell ints (`Brick.ints`) through
+`_transpositions`. Each ambient is the tiles of the complement of some
+holes plus the holes, whole or halved; the tiles are checked once with
+their holes, which covers every ambient built from them. Within a small
+baker each distinct brick is one `Brick`, whose sort key is computed once,
+and each ambient is sorted once for all its swaps. The public
+`make_transposition` still validates its ambient in full.
 
 The split tree is complete: whether a baker is too big, and along which
 axis it halves, depend only on its support's depths, and both halves have
@@ -38,16 +41,25 @@ from fractions import Fraction
 from typing import Callable, Literal
 
 from .errors import FactorizationError
-from .geometry import MAX_EXPONENT, Brick, _Record, bricks_disjoint, tile_complement
+from .geometry import (
+    MAX_EXPONENT,
+    Brick,
+    _Record,
+    _halves,
+    _tile_cells,
+    _with,
+    bricks_disjoint,
+)
 from .elements import (
     Element,
     Word,
     equals,  # noqa: F401 (a binding perfbench/test_tracer.py checks)
     product_equals,
 )
-from .generators import BakerSpec, _check_ambient, _swap, make_baker
+from .generators import BakerSpec, _check_ambient, _swaps, make_baker
 
 SplitKind = Literal["domain", "range"]
+Cells = tuple[int, ...]
 
 # The deepest split tree `_split_tree` builds. A complete tree of depth D
 # gives 2^(D+3) - 1 factors, so a word has at most 131,071; the CLI's
@@ -76,18 +88,44 @@ def split_baker(
     i, j = spec.split_axis, spec.merge_axis
     if along not in ("domain", "range"):
         raise FactorizationError(f"unknown split kind: {along!r}")
-    lo, hi = spec.support.split(i if along == "domain" else j)
-    pattern = (*lo.split(j), *hi.split(j))
-    outside = _complement(spec.dimension, [spec.support])
-    t = _swap((*pattern, *outside), pattern[1], pattern[2])
-    return t, BakerSpec(lo, i, j), BakerSpec(hi, i, j)
+    axis = i if along == "domain" else j
+    t, lo, hi = _split(spec.dimension, spec.support.ints, axis, j, _Bricks())
+    return t, BakerSpec(Brick._of(lo), i, j), BakerSpec(Brick._of(hi), i, j)
 
 
-def _complement(dimension: int, holes: list[Brick]) -> list[Brick]:
-    """`tile_complement` of the holes, checked once to partition the cube with them."""
-    outside = tile_complement(dimension, holes)
-    _check_ambient((*holes, *outside))
-    return outside
+def _split(
+    dimension: int, support: Cells, axis: int, j: int, bricks: _Bricks
+) -> tuple[Element, Cells, Cells]:
+    """`split_baker` on cell ints, halving along `axis`: t, lower and upper."""
+    lo, hi = _halves(support, axis)
+    quarters = (*_halves(lo, j), *_halves(hi, j))
+    (t,) = _transpositions(
+        dimension, (support,), [(quarters, [(quarters[1], quarters[2])])], bricks
+    )
+    return t, lo, hi
+
+
+def _transpositions(
+    dimension: int, holes: tuple[Cells, ...], ambients: list, bricks: _Bricks
+) -> list[Element]:
+    """The swaps (x, y) of each ambient (pieces, swaps): the pieces plus the
+    tiles of the cube minus the holes, checked once with the holes."""
+    tiles = _tile_cells((1,) * dimension, list(holes))
+    _check_ambient([*holes, *tiles])
+    out: list[Element] = []
+    for pieces, swaps in ambients:
+        ambient = sorted([bricks[c] for c in (*pieces, *tiles)], key=Brick.sort_key)
+        out += _swaps(dimension, ambient, swaps)
+    return out
+
+
+class _Bricks(dict):
+    """One `Brick` per distinct cell ints, made on first use; shared by the
+    ambients of one small baker, so each brick's sort key is computed once."""
+
+    def __missing__(self, c: Cells) -> Brick:
+        b = self[c] = Brick._of(c)
+        return b
 
 
 class ShrinkResult(_Record):
@@ -206,18 +244,22 @@ def cancel_disjoint_pair(a: BakerSpec, b: BakerSpec) -> Word:
         raise FactorizationError("cancel requires matching split and merge axes")
     if a.support.dimension != b.support.dimension:
         raise FactorizationError("cancel requires supports of equal dimension")
-    if not bricks_disjoint(a.support, b.support):
+    i, j, dim = a.split_axis, a.merge_axis, a.support.dimension
+    return Word(dim, _cancel(dim, a.support.ints, b.support.ints, i, j, _Bricks()))
+
+
+def _cancel(
+    dimension: int, a: Cells, b: Cells, i: int, j: int, bricks: _Bricks
+) -> list[Element]:
+    """`cancel_disjoint_pair` on the cell ints of the supports."""
+    if not bricks_disjoint(bricks[a], bricks[b]):
         raise FactorizationError(
-            f"cancel requires disjoint supports, got {a.support} and {b.support}"
+            f"cancel requires disjoint supports, got {bricks[a]} and {bricks[b]}"
         )
-    i, j = a.split_axis, a.merge_axis
-    a0, a1 = a.support.split(i)
-    b0, b1 = b.support.split(j)
-    outside = _complement(a.support.dimension, [a.support, b.support])
-    fine = (a0, a1, b0, b1, *outside)
-    swaps = (_swap(fine, a0, b0), _swap(fine, a1, b1))
-    last = _swap((a.support, b.support, *outside), a.support, b.support)
-    return Word(a.support.dimension, (*swaps, last))
+    a0, a1 = _halves(a, i)
+    b0, b1 = _halves(b, j)
+    fine = ((a0, a1, b0, b1), [(a0, b0), (a1, b1)])
+    return _transpositions(dimension, (a, b), [fine, ((a, b), [(a, b)])], bricks)
 
 
 def factor_small_baker(spec: BakerSpec) -> Word:
@@ -237,31 +279,31 @@ def factor_small_baker(spec: BakerSpec) -> Word:
     second cancel flushes the parked factor against baker(S).
     """
     i, j = spec.split_axis, spec.merge_axis
-    r = spec.support
-    if r.ints[i] == 1 or r.ints[j] == 1:  # cell int 1 is the whole side
+    r = spec.support.ints
+    if r[i] == 1 or r[j] == 1:  # cell int 1 is the whole side
         raise FactorizationError(
-            f"support {r} is too large: both in-plane sides must be at most 1/2"
+            f"support {spec.support} is too large: both in-plane sides must be at most 1/2"
         )
-    a = BakerSpec(r.double(i), i, j)
-    s = BakerSpec(r.sibling(i), i, j)
-    b = BakerSpec(_disjoint_partner(a.support, j), i, j)
+    a = _with(r, i, r[i] >> 1)
+    s = _with(r, i, r[i] ^ 1)
+    b = _disjoint_partner(a, j)
+    bricks = _Bricks()
+    t, _lower, _upper = _split(spec.dimension, a, i, j, bricks)
+    first = _cancel(spec.dimension, a, b, i, j, bricks)
+    last = _cancel(spec.dimension, b, s, i, j, bricks)
+    return Word(spec.dimension, (*first, t, *last))
 
-    t, _lower, _upper = split_baker(a, "domain")
-    first = cancel_disjoint_pair(a, b)
-    last = cancel_disjoint_pair(b, s)
-    return Word(spec.dimension, first.factors + (t,) + last.factors)
 
-
-def _disjoint_partner(a_brick: Brick, j: int) -> Brick:
-    """A brick disjoint from a_brick to park a baker's map on.
+def _disjoint_partner(a: Cells, j: int) -> Cells:
+    """Cell ints of a brick disjoint from a to park a baker's map on.
 
     The sibling along the merge axis, unless together they fill the cube;
     then its lower half along the merge axis, so that swapping the pair
     always fixes something and every emitted transposition stays proper.
     """
-    sibling = a_brick.sibling(j)
-    if a_brick.double(j).is_unit:
-        return sibling.split(j)[0]
+    sibling = _with(a, j, a[j] ^ 1)
+    if max(_with(a, j, a[j] >> 1)) == 1:  # a and its sibling fill the cube
+        return _halves(sibling, j)[0]
     return sibling
 
 

@@ -11,8 +11,10 @@ the two axes, and the complement tiling determine the element exactly.
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 from .errors import GeometryError, PartitionError
-from .geometry import Brick, Partition, _Record, partition_validate, peel_to_unit
+from .geometry import Brick, Partition, _Record, _partition_problems, peel_to_unit
 from .elements import Element, Pair, coarsen
 
 
@@ -34,21 +36,38 @@ class TranspositionSpec(_Record):
 
 
 def make_transposition(spec: TranspositionSpec) -> Element:
-    _check_ambient(spec.ambient.bricks)
-    return _swap(spec.ambient.bricks, spec.a, spec.b)
+    ambient = spec.ambient
+    _check_ambient([b.ints for b in ambient])
+    return _swaps(ambient.dimension, ambient.bricks, [(spec.a.ints, spec.b.ints)])[0]
 
 
-def _check_ambient(bricks: tuple[Brick, ...]) -> None:
-    """Refuse bricks that do not partition the cube, naming each problem."""
-    report = partition_validate(bricks)
-    if not report:
-        raise PartitionError(f"ambient is not a partition: {'; '.join(report.problems)}")
+def _check_ambient(cells: Sequence[tuple[int, ...]]) -> None:
+    """Refuse cell-int bricks that do not partition the cube, naming each problem."""
+    problems = _partition_problems(cells)
+    if problems:
+        raise PartitionError(f"ambient is not a partition: {'; '.join(problems)}")
 
 
-def _swap(ambient: tuple[Brick, ...], a: Brick, b: Brick) -> Element:
-    """The transposition of a and b inside a checked ambient partition."""
-    image = {a: b, b: a}
-    return Element(a.dimension, [Pair._of(x, image.get(x, x)) for x in ambient])
+def _swaps(
+    dimension: int,
+    ordered: Sequence[Brick],
+    swaps: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
+) -> list[Element]:
+    """The transposition of each (x, y), as cell ints, inside one checked ambient.
+
+    The ambient is sorted by sort key, the order of an element's pairs, so
+    each transposition maps it in place: x -> y, y -> x and the rest fixed.
+    The fixed pairs are built once and shared.
+    """
+    cells = [b.ints for b in ordered]
+    fixed = [Pair._of(b, b) for b in ordered]
+    out = []
+    for x, y in swaps:
+        i, j = cells.index(x), cells.index(y)
+        pairs = fixed.copy()
+        pairs[i], pairs[j] = Pair._of(ordered[i], ordered[j]), Pair._of(ordered[j], ordered[i])
+        out.append(Element._of(dimension, tuple(pairs)))
+    return out
 
 
 class BakerSpec(_Record):

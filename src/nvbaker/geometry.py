@@ -113,6 +113,14 @@ class Cell(_Record):
                 f"cell numerator {self.numerator} out of range for exponent {self.exponent}"
             )
 
+    @classmethod
+    def _of(cls, exponent: int, numerator: int) -> "Cell":
+        """A cell of a valid (exponent, numerator), as `Brick.cells` reads them: unchecked."""
+        cell = object.__new__(cls)
+        object.__setattr__(cell, "exponent", exponent)
+        object.__setattr__(cell, "numerator", numerator)
+        return cell
+
     @property
     def lo(self) -> Fraction:
         return Fraction(self.numerator, 1 << self.exponent)
@@ -158,7 +166,7 @@ class Brick(_Record):
 
     @property
     def cells(self) -> tuple[Cell, ...]:
-        return tuple(Cell(*_cell_of(c)) for c in self.ints)
+        return tuple(Cell._of(*_cell_of(c)) for c in self.ints)
 
     @property
     def dimension(self) -> int:
@@ -166,7 +174,7 @@ class Brick(_Record):
 
     @property
     def measure(self) -> Fraction:
-        return _total_measure([self.ints])
+        return Fraction(*_cell_count([self.ints]))
 
     @property
     def diameter(self) -> Fraction:
@@ -179,22 +187,19 @@ class Brick(_Record):
 
     def split(self, axis: int) -> tuple["Brick", "Brick"]:
         """Halve along one axis into (lower, upper)."""
-        c = self._at(axis) << 1
-        if c.bit_length() - 1 > MAX_EXPONENT:
-            raise ExponentLimitError(
-                f"cell exponent {c.bit_length() - 1} exceeds the limit {MAX_EXPONENT}"
-            )
-        return self._with(axis, c), self._with(axis, c | 1)
+        self._at(axis)  # refuses a bad axis
+        lo, hi = _halves(self.ints, axis)
+        return Brick._of(lo), Brick._of(hi)
 
     def double(self, axis: int) -> "Brick":
         if self._at(axis) == 1:
             raise GeometryError("the unit interval has no parent cell")
-        return self._with(axis, self.ints[axis] >> 1)
+        return Brick._of(_with(self.ints, axis, self.ints[axis] >> 1))
 
     def sibling(self, axis: int) -> "Brick":
         if self._at(axis) == 1:
             raise GeometryError("the unit interval has no sibling")
-        return self._with(axis, self.ints[axis] ^ 1)
+        return Brick._of(_with(self.ints, axis, self.ints[axis] ^ 1))
 
     def contains_point(self, point: Sequence[Fraction]) -> bool:
         if len(point) != self.dimension:
@@ -224,9 +229,6 @@ class Brick(_Record):
     def __str__(self) -> str:
         return ",".join("{1}/2^{0}".format(*_cell_of(c)) for c in self.ints)
 
-    def _with(self, axis: int, c: int) -> "Brick":
-        return Brick._of(self.ints[:axis] + (c,) + self.ints[axis + 1 :])
-
     def _at(self, axis: int) -> int:
         """The cell int on an axis, once the axis is checked."""
         if not 0 <= axis < self.dimension:
@@ -241,6 +243,21 @@ def _sort_key(ints: tuple[int, ...]) -> tuple[int, ...]:
         e = c.bit_length() - 1
         key += ((c ^ (1 << e)) << (MAX_EXPONENT - e), e)
     return key
+
+
+def _halves(ints: tuple[int, ...], axis: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`Brick.split` of cell ints along a valid axis: the lower and upper halves."""
+    c = ints[axis] << 1
+    if c.bit_length() - 1 > MAX_EXPONENT:
+        raise ExponentLimitError(
+            f"cell exponent {c.bit_length() - 1} exceeds the limit {MAX_EXPONENT}"
+        )
+    return _with(ints, axis, c), _with(ints, axis, c | 1)
+
+
+def _with(ints: tuple[int, ...], axis: int, c: int) -> tuple[int, ...]:
+    """The cell ints with the one on an axis replaced by c."""
+    return ints[:axis] + (c,) + ints[axis + 1 :]
 
 
 def _cell_of(c: int) -> tuple[int, int]:
@@ -300,11 +317,39 @@ def _meets(
 
 
 def _overlaps(cells: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """Index pairs i < j of overlapping cell-int bricks, in ascending order."""
+    """Index pairs i < j of overlapping cell-int bricks, in ascending order.
+
+    Bricks share cells, so each distinct cell's nested mask is taken once
+    per axis, and each brick ANDs the masks of its cells.
+    """
     if len(cells) < 2:
         return []
-    index = _RangeIndex(cells)
-    return [(i, j) for i, c in enumerate(cells) for j in index.meeting(c) if j > i]
+    found = [-1] * len(cells)
+    for axis, (exact, under) in enumerate(_RangeIndex(cells).axes):
+        nested = {c: _nested(exact, under, c) for c in exact}
+        found = [m & nested[c[axis]] for m, c in zip(found, cells)]
+    # Each brick meets itself; only the partners after it are kept.
+    return [(i, j) for i, m in enumerate(found) for j in _ids(m & -(2 << i))]
+
+
+def _nested(exact: dict[int, int], under: dict[int, int], h: int) -> int:
+    """The mask of the ids on one axis whose cells are nested with cell int h."""
+    nested = under.get(h, 0)
+    h >>= 1
+    while h:
+        nested |= exact.get(h, 0)
+        h >>= 1
+    return nested
+
+
+def _ids(mask: int) -> list[int]:
+    """The ids of a mask's set bits, lowest first."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 class _RangeIndex:
@@ -322,20 +367,32 @@ class _RangeIndex:
     spirit of Finkel and Bentley's quad trees. It reads the ids out of the
     mask lowest bit first, so every answer is in ascending id order.
 
+    The constructor files its bricks in bulk: per axis, one mask for each
+    distinct cell, ORed into that cell's prefixes once, so bricks that share
+    cells, as the bricks of a partition do, share the prefix walks.
+
     `remove` frees an id for the next `add` at once, so a mask is never
     wider than the most ids in use at once. The index keeps one mask per
     cell and prefix ever filed, at most MAX_EXPONENT + 1 per cell and axis,
     and an emptied mask is the int 0. So its memory grows with the distinct
     cells filed times the ids in use, not with each brick's cell depth.
-    The bricks must be nonempty and of one dimension.
+    The bricks must be of one dimension, which an empty index is given.
     """
 
-    def __init__(self, bricks: Sequence[tuple[int, ...]]) -> None:
-        self.bricks: dict[int, tuple[int, ...]] = {}
+    def __init__(self, bricks: Sequence[tuple[int, ...]], dimension: int = 0) -> None:
+        self.bricks: dict[int, tuple[int, ...]] = dict(enumerate(bricks))
         self.free: list[int] = []  # removed ids, ready for reuse
-        self.axes: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}) for _ in bricks[0]]
-        for b in bricks:
-            self.add(b)
+        self.axes: list[tuple[dict[int, int], dict[int, int]]] = []
+        for axis in range(len(bricks[0]) if bricks else dimension):
+            exact: dict[int, int] = {}
+            for i, b in enumerate(bricks):
+                exact[b[axis]] = exact.get(b[axis], 0) | 1 << i
+            under: dict[int, int] = {}
+            for c, mask in exact.items():
+                while c:
+                    under[c] = under.get(c, 0) | mask
+                    c >>= 1
+            self.axes.append((exact, under))
 
     def add(self, b: tuple[int, ...]) -> int:
         """Index one more brick and return its id."""
@@ -353,20 +410,10 @@ class _RangeIndex:
         """The ids of the indexed bricks that meet brick d, in ascending order."""
         found = -1  # every id, until an axis narrows it
         for (exact, under), h in zip(self.axes, d):
-            nested = under.get(h, 0)
-            h >>= 1
-            while h:
-                nested |= exact.get(h, 0)
-                h >>= 1
-            found &= nested
+            found &= _nested(exact, under, h)
             if not found:
                 return []
-        ids = []
-        while found:  # lowest bit first, so the ids come out ascending
-            low = found & -found
-            ids.append(low.bit_length() - 1)
-            found ^= low
-        return ids
+        return _ids(found)
 
     def remove(self, i: int) -> tuple[int, ...]:
         """Remove the brick with id i and return it."""
@@ -429,31 +476,37 @@ class ValidationReport(_Record):
 def partition_validate(bricks: Iterable[Brick]) -> ValidationReport:
     """Check disjointness and total measure 1, naming each violation."""
     items = list(bricks)
-    problems: list[str] = []
     if not items:
         return ValidationReport(False, ("no bricks given",))
     dim = items[0].dimension
     for b in items[1:]:
         if b.dimension != dim:
-            problems.append(f"mixed dimensions: {dim} and {b.dimension}")
-            return ValidationReport(False, tuple(problems))
-    for i, j in _overlaps([b.ints for b in items]):
-        problems.append(f"bricks overlap: {items[i]} and {items[j]}")
-    total = _total_measure([b.ints for b in items])
-    if total != 1:
-        problems.append(f"total measure is {total}, expected 1")
-    return ValidationReport(not problems, tuple(problems))
+            return ValidationReport(False, (f"mixed dimensions: {dim} and {b.dimension}",))
+    problems = tuple(_partition_problems([b.ints for b in items]))
+    return ValidationReport(not problems, problems)
 
 
-def _total_measure(bricks: Sequence[tuple[int, ...]]) -> Fraction:
-    """The total measure of bricks given as cell ints.
+def _partition_problems(cells: Sequence[tuple[int, ...]]) -> list[str]:
+    """`partition_validate`'s overlap and measure problems of nonempty cell-int bricks."""
+    problems = [
+        f"bricks overlap: {Brick._of(cells[i])} and {Brick._of(cells[j])}"
+        for i, j in _overlaps(cells)
+    ]
+    count, cube = _cell_count(cells)
+    if count != cube:
+        problems.append(f"total measure is {Fraction(count, cube)}, expected 1")
+    return problems
+
+
+def _cell_count(bricks: Sequence[tuple[int, ...]]) -> tuple[int, int]:
+    """The total measure of bricks given as cell ints, as (n, 2^e) for n / 2^e.
 
     A brick's measure is 2^-depth, its depth the sum of its exponents, so
-    the sum is an exact integer count of cells at the deepest depth.
+    the sum is an exact integer count n of cells at the deepest depth e.
     """
     depths = [sum(c.bit_length() for c in b) - len(b) for b in bricks]
     deepest = max(depths)
-    return Fraction(sum(1 << (deepest - d) for d in depths), 1 << deepest)
+    return sum(1 << (deepest - d) for d in depths), 1 << deepest
 
 
 def unit_brick(dimension: int) -> Brick:
@@ -500,26 +553,50 @@ def tile_complement(dimension: int, holes: Sequence[Brick]) -> list[Brick]:
     if overlaps:
         i, j = overlaps[0]
         raise GeometryError(f"holes overlap: {holes[i]} and {holes[j]}")
-    out: list[Brick] = []
-    stack = [(unit_brick(dimension).ints, cells)]
+    return [Brick._of(c) for c in _tile_cells(unit_brick(dimension).ints, cells)]
+
+
+def _tile_cells(
+    region: tuple[int, ...], holes: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """`tile_complement`'s descent on cell ints, from a region the holes lie in: unchecked."""
+    out: list[tuple[int, ...]] = []
+    # Each live hole rides with its cells' bit lengths, taken once.
+    stack = [(region, [(h, [c.bit_length() for c in h]) for h in holes])]
     while stack:
         region, live = stack.pop()
         if not live:
-            out.append(Brick._of(region))
+            out.append(region)
             continue
-        for axis, r in enumerate(region):
-            n = r.bit_length()
-            if any(h[axis].bit_length() > n for h in live):
-                break
-        else:  # the region lies inside its one live hole
+        axis = _finer_axis(region, live)
+        if axis is None:  # the region lies inside its one live hole
             continue
         # A hole finer than the region on the axis lies in the half its
         # next bit names; any other live hole lies across both halves. The
         # upper half is pushed first, so the lower half is tiled first.
-        for c in ((r << 1) | 1, r << 1):
-            half = [
-                h for h in live
-                if h[axis].bit_length() <= n or h[axis] >> (h[axis].bit_length() - n - 1) == c
-            ]
-            stack.append((region[:axis] + (c,) + region[axis + 1 :], half))
+        r = region[axis]
+        n = r.bit_length()
+        lower, upper = [], []
+        for hole in live:
+            h, depths = hole
+            below = depths[axis] - n - 1
+            if below < 0:
+                lower.append(hole)
+                upper.append(hole)
+            elif h[axis] >> below & 1:
+                upper.append(hole)
+            else:
+                lower.append(hole)
+        stack.append((_with(region, axis, r << 1 | 1), upper))
+        stack.append((_with(region, axis, r << 1), lower))
     return out
+
+
+def _finer_axis(region: tuple[int, ...], live: list) -> int | None:
+    """The lowest axis on which some live hole's cell is finer than the region's."""
+    for axis, r in enumerate(region):
+        n = r.bit_length()
+        for _, depths in live:
+            if depths[axis] > n:
+                return axis
+    return None

@@ -597,6 +597,14 @@ class TestProductEquals:
         b = unit_baker()
         assert _product_pieces(Word(2, (b, inverse(b))), identity(2)) == [((1, 1), (1, 1))]
 
+    @pytest.mark.parametrize("pieces", [[(2, 1)], [(1, 1), (2, 1)]], ids=["lost", "duplicated"])
+    def test_a_lost_or_duplicated_piece_is_not_an_equal_product(self, monkeypatch, pieces):
+        # Every piece is an identity pair, so only the measure check sees
+        # that half the cube is missing or covered twice.
+        fake = [(d, d) for d in pieces]
+        monkeypatch.setattr(elements, "_product_pieces", lambda word, target: fake)
+        assert not product_equals(Word(2, ()), identity(2))
+
     def test_verifier_work_is_pinned(self, monkeypatch):
         # Exact work counts of the one-pass check of the eps = 1/8 word:
         # the pieces filed in the index and the most live at once.

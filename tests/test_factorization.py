@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -321,9 +322,10 @@ class TestFactorBaker:
         )
 
     def test_eighth_epsilon_splits_each_node_once(self, split_calls):
-        # 255 splits in the tree and one in each of the 256 small bakers.
+        # The 255 splits of the tree; the 256 small bakers split on cell
+        # ints, not through `split_baker`.
         factor_baker(UNIT2, Fraction(1, 8))
-        assert split_calls[0] == 511
+        assert split_calls[0] == 255
 
     def test_split_depth_is_bounded(self, split_calls):
         # 1/2^6 needs depth 14 (131,071 factors); 1/2^7 would need 16.
@@ -392,8 +394,8 @@ def _parent(tiles):
     if not tiles:
         return tiles
     first = tiles[0]
-    axis = next(a for a, c in enumerate(first.ints) if c != 1)
-    return [first.double(axis), *tiles[1:]]
+    axis = next(a for a, c in enumerate(first) if c != 1)
+    return [Brick._of(first).double(axis).ints, *tiles[1:]]
 
 
 def _swap_equal_measure(tiles):
@@ -401,7 +403,7 @@ def _swap_equal_measure(tiles):
     measure stays 1, so only the overlap check can see it."""
     for k, x in enumerate(tiles):
         for y in tiles[k + 1 :]:
-            if x.measure == y.measure:
+            if Brick._of(x).measure == Brick._of(y).measure:
                 return [t for t in tiles if t != y] + [x]
     return tiles
 
@@ -409,17 +411,17 @@ def _swap_equal_measure(tiles):
 @pytest.mark.parametrize("mutant", [_drop, _duplicate, _parent, _swap_equal_measure])
 def test_complement_mutants_never_give_a_report(monkeypatch, mutant):
     """A wrong complement tiling must stop the factorization before any
-    transposition is built from it."""
-    real = factorization.tile_complement
+    transposition is built from it. The tiles are cell ints."""
+    real = factorization._tile_cells
     changed = []
 
-    def broken(dimension, holes):
-        tiles = real(dimension, holes)
+    def broken(region, holes):
+        tiles = real(region, holes)
         out = mutant(list(tiles))
         changed.append(out != tiles)
         return out
 
-    monkeypatch.setattr(factorization, "tile_complement", broken)
+    monkeypatch.setattr(factorization, "_tile_cells", broken)
     with pytest.raises(PartitionError, match="ambient is not a partition"):
         factor_baker(UNIT2)
     assert any(changed)
@@ -436,6 +438,43 @@ def small_bakers(draw):
         e = draw(st.integers(1, 4) if axis in (i, j) else st.integers(0, 3))
         cells.append(Cell(e, draw(st.integers(0, (1 << e) - 1))))
     return BakerSpec(Brick(tuple(cells)), i, j)
+
+
+def _seeded_small_bakers(count: int, seed: int) -> list[BakerSpec]:
+    """Small baker specs in dimensions 3 and 4, drawn as `small_bakers` draws them."""
+    rng = random.Random(seed)
+    specs = []
+    for k in range(count):
+        dim = 3 + k % 2
+        i, j = rng.sample(range(dim), 2)
+        cells = []
+        for axis in range(dim):
+            e = rng.randint(1, 4) if axis in (i, j) else rng.randint(0, 3)
+            cells.append(Cell(e, rng.randrange(1 << e)))
+        specs.append(BakerSpec(Brick(tuple(cells)), i, j))
+    return specs
+
+
+def test_small_baker_words_in_three_and_four_dimensions_are_pinned():
+    # Every word at no epsilon, and at 1/4 wherever splitting can reach it
+    # (every off-plane side below 1/4); taken before the words were built on
+    # cell ints, so the bytes did not move.
+    digest = hashlib.sha256()
+    cases = 0
+    for spec in _seeded_small_bakers(60, 2009):
+        plane = (spec.split_axis, spec.merge_axis)
+        off_plane = [c for a, c in enumerate(spec.support.ints) if a not in plane]
+        for epsilon in (None, Fraction(1, 4)):
+            if epsilon is not None and min(off_plane) < 8:  # cell int 8 is exponent 3
+                continue
+            report = factor_baker(spec, epsilon)
+            assert report.verified
+            digest.update(serialize_word(report.word).encode())
+            cases += 1
+    assert cases == 74
+    assert digest.hexdigest() == (
+        "acba6a1b984da268117a63e0edda817d8532344e6120f9792bd187d6a8a5d512"
+    )
 
 
 @settings(deadline=None, max_examples=40)
