@@ -63,11 +63,15 @@ def _write_atomic(*outputs: tuple[str, str]) -> None:
     Every temp file is written before any is renamed, so a failure while
     writing leaves none of the outputs behind; a rename that fails leaves
     only the outputs renamed before it. Files get the mode ``open`` would
-    give them under the current umask, not mkstemp's 0o600. Two outputs
-    that are one file are refused before anything is written.
+    give them under the current umask, not mkstemp's 0o600. An output that
+    is a directory, or two outputs that are one file, are refused before
+    anything is written. A failure to create, write or rename is an
+    `NvError` naming the output's path, never the temp file's.
     """
     named: dict[str, str] = {}
     for path, _text in outputs:
+        if os.path.isdir(path):
+            raise NvError(f"cannot write {path}: it is a directory")
         real = os.path.realpath(path)
         if real in named:
             raise NvError(f"outputs {named[real]} and {path} are the same file")
@@ -86,10 +90,13 @@ def _write_atomic(*outputs: tuple[str, str]) -> None:
                 handle.write(text)
         for tmp, (path, _text) in zip(temps, outputs):
             os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         for tmp in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        if isinstance(exc, OSError):
+            reason = exc.strerror or type(exc).__name__
+            raise NvError(f"cannot write {path}: {reason}") from exc
         raise
 
 
@@ -139,12 +146,14 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
 def _cmd_equal(args: argparse.Namespace) -> int:
     f = _load_element_file(args.first)
     g = _load_element_file(args.second)
-    witness = equals_witness(f, g)
+    # Elements of different dimensions are unequal, as `equals` has them;
+    # no point lies in both cubes, so there is no witness to print.
+    witness = equals_witness(f, g) if f.dimension == g.dimension else ()
     if witness is None:
         print("equal")
         return 0
     print("not equal")
-    if args.witness:
+    if args.witness and witness:
         point = ", ".join(str(x) for x in witness)
         print(f"witness: ({point})")
     return 1

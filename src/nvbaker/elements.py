@@ -18,10 +18,10 @@ carry them with `_carry`, and build `Brick`s, `Pair`s and the sorted
 of `then` on pieces, refining against every factor's whole partition.
 
 `product_equals` checks a word against a target without building the
-product: it carries pieces of the identity through the word, and then
-through the target's inverse, applying each factor only where it moves
-points, with the pieces found by their range cells in the same
-`geometry._RangeIndex` that serves `_meets`. Each carried piece merges
+product: it carries pieces of the identity through the word's pieces, and
+then through the target's pieces read backwards, applying each step only
+where it moves points, with the pieces found by their range cells in the
+same `geometry._RangeIndex` that serves `_meets`. Each carried piece merges
 with its sibling pieces by `coarsen`'s rule, so the pass holds a reduced
 presentation of the prefix product, not the word's refinement.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, ElementError, ExponentLimitError
@@ -41,6 +42,7 @@ from .geometry import (
     _RangeIndex,
     _Record,
     _cell_count,
+    _halves,
     _meets,
     _sort_key,
     partition_validate,
@@ -107,15 +109,7 @@ class Element(_Record):
     def __init__(self, dimension: int, pairs: Iterable[Pair]) -> None:
         # Set directly, not by `_set`: that call costs as much again, per element.
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "pairs", pairs)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "pairs",
-            tuple(sorted(self.pairs, key=lambda p: p.domain.sort_key())),
-        )
+        object.__setattr__(self, "pairs", tuple(sorted(pairs, key=lambda p: p.domain.sort_key())))
 
     @classmethod
     def _of(cls, dimension: int, pairs: tuple[Pair, ...]) -> "Element":
@@ -354,59 +348,55 @@ def _fold(factors: Sequence[Element], lo: int, hi: int) -> list[_Piece]:
 def product_equals(word: Word, target: Element) -> bool:
     """Whether the word's product is exactly `target`; `equals` without the fold.
 
-    One pass carries pieces of the identity through every factor and then
-    through ``inverse(target)``, touching only the pieces that each moved
-    brick meets (see `_product_pieces`). The product equals the target
-    exactly when every final piece is an identity pair, whatever the
-    presentation. Different dimensions compare unequal, as in `equals`.
+    One pass carries pieces of the identity through every factor, then
+    through the target's pieces reversed (no inverse `Element` is built),
+    touching only the pieces that each moved brick meets (see
+    `_product_pieces`). The product equals the target exactly when every
+    final piece is an identity pair, whatever the presentation. Different
+    dimensions compare unequal, as in `equals`.
     """
     if word.dimension != target.dimension:
         return False
-    pieces = _product_pieces(word, target)
+    backwards = [(p.range.ints, p.domain.ints) for p in target.pairs]
+    steps = chain(map(_pieces, word.factors), [backwards])
+    pieces = _product_pieces(word.dimension, steps)
     # The domains are cut from the cube, so their measures add up to 1
     # unless a piece was lost or duplicated.
     count, cube = _cell_count([dom for dom, _ in pieces])
     return count == cube and all(dom == rng for dom, rng in pieces)
 
 
-def _product_pieces(word: Word, target: Element) -> list[_Piece]:
-    """The pieces (domain, range) of word . inverse(target), as `Brick.ints`.
+def _product_pieces(dimension: int, steps: Iterable[Iterable[_Piece]]) -> list[_Piece]:
+    """The pieces (domain, range) of the product of steps, each a map's pieces.
 
-    Starting from the cube mapped to itself, each non-identity pair d -> r
-    of a factor takes the pieces whose range meets d out of the index.
-    Each such range is cut on every axis where it is coarser than d, one
-    level at a time; the half missing d returns to the index, since a later
-    pair of the same factor may move it. The part inside d is carried to r
-    by `_carry` and rejoins the index, through `_merge_in`, once the whole
-    factor has been applied, so the pieces follow the reduced map rather
-    than the word's refinement.
+    Steps are read once, in order. From the cube mapped to itself, each
+    moved piece d -> r of a step takes the pieces whose range meets d out
+    of the index. `_halves` cuts each such range, with its domain, on every
+    axis where it is coarser than d, one level at a time; the half missing
+    d returns to the index, as a later piece of the step may move it. The
+    part inside d is carried to r by `_carry` and rejoins the index,
+    through `_merge_in`, once the whole step is applied, so the pieces
+    follow the reduced map rather than the word's refinement.
     """
-    cube = (1,) * word.dimension
-    index = _RangeIndex((), word.dimension)  # indexes the ranges
-    index.add(cube)
+    cube = (1,) * dimension
+    index = _RangeIndex([cube])  # indexes the ranges
     live = {cube: (0, cube)}  # each piece's range: its id in the index, its domain
-    for f in (*word.factors, inverse(target)):
+    for step in steps:
         moved = []
-        for p in f.pairs:
-            if p.is_identity:
+        for d, r in step:
+            if d == r:
                 continue
-            d, r = p.domain.ints, p.range.ints
             # The ids still to come stay in use, so no half filed here takes one.
             for i in index.meeting(d):
                 rng = index.remove(i)
-                dom, rng = list(live.pop(rng)[1]), list(rng)
-                for a, (x, y) in enumerate(zip(rng, d)):
-                    depth = y.bit_length() - x.bit_length()
-                    if depth > 0:
-                        u = dom[a]
-                        for j in reversed(range(depth)):
-                            miss = ((y >> j) & 1) ^ 1
-                            dom[a], rng[a] = (u << 1) | miss, (x << 1) | miss
-                            half = tuple(rng)
-                            live[half] = (index.add(half), tuple(dom))
-                            u, x = dom[a] ^ 1, rng[a] ^ 1
-                        dom[a], rng[a] = u, x
-                moved.append((tuple(dom), _carry(tuple(rng), d, r)))
+                dom = live.pop(rng)[1]
+                for a, y in enumerate(d):
+                    for j in reversed(range(y.bit_length() - rng[a].bit_length())):
+                        keep = y >> j & 1
+                        doms, rngs = _halves(dom, a), _halves(rng, a)
+                        live[rngs[keep ^ 1]] = (index.add(rngs[keep ^ 1]), doms[keep ^ 1])
+                        dom, rng = doms[keep], rngs[keep]
+                moved.append((dom, _carry(rng, d, r)))
         for dom, rng in moved:
             _merge_in(index, live, dom, rng)
     return [(dom, rng) for rng, (_, dom) in live.items()]

@@ -30,6 +30,7 @@ helps), message prefixed "syntax error" or "semantic error".
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from .errors import ElementError, NvError, ParseError
 from .geometry import (
@@ -70,10 +71,8 @@ def _int(digits: str, line: int | None = None, column: int | None = None) -> int
         raise ParseError(message, line, column) from exc
 
 
-def parse_dyadic(text: str):
+def parse_dyadic(text: str) -> Fraction:
     """A dyadic scalar: an integer like ``3`` or a cell-style ``3/2^4``."""
-    from fractions import Fraction
-
     text = text.strip()
     m = re.fullmatch(r"(\d+)(?:/2\^(\d+))?", text)
     if not m:

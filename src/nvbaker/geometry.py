@@ -34,8 +34,9 @@ from .errors import (
 )
 
 # Hard ceilings on cell exponents and on axes. Cells deepen only through `Cell`,
-# `Brick.split` and `elements._carry`, and a bare dimension becomes cells only
-# in `unit_brick`, so one check in each guards the library against runaway work.
+# `_halves` (the cut of `Brick.split` and of the one-pass verifier) and
+# `elements._carry`, and a bare dimension becomes cells only in `unit_brick`,
+# so one check in each guards the library against runaway work.
 MAX_EXPONENT = 64
 MAX_DIMENSION = 64
 
@@ -376,14 +377,14 @@ class _RangeIndex:
     cell and prefix ever filed, at most MAX_EXPONENT + 1 per cell and axis,
     and an emptied mask is the int 0. So its memory grows with the distinct
     cells filed times the ids in use, not with each brick's cell depth.
-    The bricks must be of one dimension, which an empty index is given.
+    The bricks must be nonempty and of one dimension.
     """
 
-    def __init__(self, bricks: Sequence[tuple[int, ...]], dimension: int = 0) -> None:
+    def __init__(self, bricks: Sequence[tuple[int, ...]]) -> None:
         self.bricks: dict[int, tuple[int, ...]] = dict(enumerate(bricks))
         self.free: list[int] = []  # removed ids, ready for reuse
         self.axes: list[tuple[dict[int, int], dict[int, int]]] = []
-        for axis in range(len(bricks[0]) if bricks else dimension):
+        for axis in range(len(bricks[0])):
             exact: dict[int, int] = {}
             for i, b in enumerate(bricks):
                 exact[b[axis]] = exact.get(b[axis], 0) | 1 << i

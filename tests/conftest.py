@@ -12,7 +12,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from nvbaker import Brick, Cell, Element
+from nvbaker import Brick, Cell, Element, Pair, Word
 
 import _acceptance_log
 
@@ -105,6 +105,27 @@ def chain(splits: int, dimension: int, side: str, seed: int) -> list[Brick]:
     leaves.append(Brick(tuple(cells)))
     random.Random(seed).shuffle(leaves)
     return leaves
+
+
+def _ladder(deepest: int, head: Cell, slices: list[Cell]) -> Element:
+    """The 1-D element taking [0, 2^-deepest) onto head, then each
+    [2^-k, 2^-(k-1)), k = deepest down to 1, onto the next of slices."""
+    cells = [(Cell(deepest, 0), head), *zip((Cell(k, 1) for k in range(deepest, 0, -1)), slices)]
+    return Element.from_pairs([Pair(Brick((d,)), Brick((r,))) for d, r in cells])
+
+
+def exponent_71_word() -> Word:
+    """A 1-D word (g1, g2) whose product cuts a cell of exponent 71.
+
+    g1 takes [0, 2^-10) onto [0, 1/8), a scale of 2^7, and its next eight
+    pieces onto the depth-6 slices of [1/8, 1/4); it fixes [1/4, 1). g2
+    takes [0, 2^-64) onto [0, 1/2), and its 64 pieces onto the depth-7
+    slices of [1/2, 1). Every cell of either factor is within the limit,
+    but g1 then g2 takes [0, 2^-71) onto [0, 1/2).
+    """
+    g1 = _ladder(10, Cell(3, 0), [Cell(6, n) for n in range(8, 16)] + [Cell(2, 1), Cell(1, 1)])
+    g2 = _ladder(64, Cell(1, 0), [Cell(7, n) for n in range(64, 128)])
+    return Word(1, (g1, g2))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -31,7 +31,7 @@ from nvbaker import (
 )
 from nvbaker.cli import main
 
-from conftest import brick, chain, chain_axis
+from conftest import brick, chain, chain_axis, exponent_71_word
 
 BAKER = make_baker(BakerSpec(unit_brick(2), 0, 1))
 BAKER_TEXT = "NV 2\n0/2^1,0/2^0 -> 0/2^0,0/2^1\n1/2^1,0/2^0 -> 0/2^0,1/2^1\n"
@@ -193,6 +193,14 @@ class TestEqualCommand:
         code, out, _ = run("equal", baker_file, identity_file, "--witness")
         assert code == 1
         assert out == "not equal\nwitness: (1/4, 1/2)\n"
+
+    def test_dimensions_differ(self, run, tmp_path, identity_file):
+        # Unequal, as `equals` and `verify` have it; no point lies in both
+        # cubes, so no witness is printed.
+        cube = tmp_path / "id3.nv"
+        cube.write_text(serialize_element(identity(3)))
+        for flags in ((), ("--witness",)):
+            assert run("equal", identity_file, str(cube), *flags) == (1, "not equal\n", "")
 
     @pytest.mark.parametrize("name", ["chain.nv", "chain.tree"])
     def test_equal_on_deep_chains(self, run, tmp_path, name):
@@ -398,6 +406,17 @@ class TestVerifyCommand:
         assert "Traceback" not in err
         assert out == ""
 
+    def test_product_past_the_exponent_limit_fails_closed(self, run, tmp_path):
+        # Two factors within the limit whose product cuts exponent 71.
+        word, target = tmp_path / "w.nvw", tmp_path / "id1.nv"
+        word.write_text(serialize_word(exponent_71_word()))
+        target.write_text(serialize_element(identity(1)))
+        code, out, err = run("verify", str(word), str(target))
+        assert code == 2
+        assert err.startswith("error:") and "exceeds the limit" in err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestRenderCommand:
     def test_renders_svg(self, run, tmp_path, baker_file):
@@ -420,6 +439,33 @@ class TestRenderCommand:
         assert code == 2
         assert "dimension" in err
         assert not out.exists()
+
+
+class TestOutputErrors:
+    """An output that cannot be written is an error naming the user's path."""
+
+    def test_missing_parent_directory(self, run, tmp_path, baker_file):
+        out = tmp_path / "missing" / "x.svg"
+        code, stdout, err = run("render", baker_file, "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+        assert os.listdir(tmp_path) == ["baker.nv"]
+
+    @pytest.mark.parametrize("spelling", ["absolute", "dot"])
+    def test_existing_directory(self, run, tmp_path, baker_file, monkeypatch, spelling):
+        # `-o .` once put its temp file in the parent of the current directory.
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        out = str(outdir)
+        if spelling == "dot":
+            monkeypatch.chdir(outdir)
+            out = "."
+        code, stdout, err = run("render", baker_file, "-o", out)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot write {out}: it is a directory\n"
+        assert ".nvbaker-" not in err
+        assert os.listdir(outdir) == []
+        assert sorted(os.listdir(tmp_path)) == ["baker.nv", "out"]
 
 
 class TestRandomCommand:

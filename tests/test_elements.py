@@ -39,7 +39,7 @@ from nvbaker.elements import _product_pieces
 from nvbaker.formats import serialize_element
 from nvbaker.factorization import factor_baker
 
-from conftest import brick, element_image, grid_points
+from conftest import brick, element_image, exponent_71_word, grid_points
 
 
 def unit_baker() -> Element:
@@ -414,17 +414,17 @@ class TestProductBytes:
         # The fold runs on cell ints: the index proves every meet, and the
         # sorted Element is built once, from the final pieces.
         built, intersections = [0], [0]
-        post_init, intersect = Element.__post_init__, geometry.brick_intersect
+        init, intersect = Element.__init__, geometry.brick_intersect
 
-        def counted_post_init(self):
+        def counted_init(self, dimension, pairs):
             built[0] += 1
-            post_init(self)
+            init(self, dimension, pairs)
 
         def counted_intersect(a, b):
             intersections[0] += 1
             return intersect(a, b)
 
-        monkeypatch.setattr(Element, "__post_init__", counted_post_init)
+        monkeypatch.setattr(Element, "__init__", counted_init)
         for owner in (geometry, elements):
             monkeypatch.setattr(owner, "brick_intersect", counted_intersect)
         quarter_word.product()
@@ -494,6 +494,13 @@ def _brick(cells: tuple[int, ...]):
     return Brick(tuple(Cell(c.bit_length() - 1, c ^ (1 << (c.bit_length() - 1))) for c in cells))
 
 
+def _word_then_inverse(word: Word, target: Element) -> list:
+    """`_product_pieces` of the word, then of the target read backwards."""
+    steps = [elements._pieces(f) for f in word.factors]
+    steps.append([(r, d) for d, r in elements._pieces(target)])
+    return _product_pieces(word.dimension, steps)
+
+
 @st.composite
 def words_and_targets(draw):
     """A word of 0-5 random elements and a target: its product, the
@@ -523,7 +530,7 @@ class TestProductEquals:
     @given(words_and_targets())
     def test_final_domains_partition_the_cube(self, case):
         word, target = case
-        pieces = _product_pieces(word, target)
+        pieces = _word_then_inverse(word, target)
         assert partition_validate([_brick(dom) for dom, _ in pieces])
         assert partition_validate([_brick(rng) for _, rng in pieces])
 
@@ -563,6 +570,28 @@ class TestProductEquals:
         with pytest.raises(ExponentLimitError):
             product_equals(word, identity(1))
 
+    def test_a_cut_past_the_exponent_limit_fails_as_the_fold_does(self):
+        # No cell of either factor passes the limit, but their product
+        # cuts the domain [0, 2^-71) out of [0, 2^-10).
+        word = exponent_71_word()
+        with pytest.raises(ExponentLimitError):
+            equals(word.product(), identity(1))
+        with pytest.raises(ExponentLimitError):
+            product_equals(word, identity(1))
+
+    def test_steps_are_read_once_from_any_iterable(self):
+        factors = [random_element(RandomElementSpec(2, 4, 60 + k)) for k in range(4)]
+        steps = [elements._pieces(f) for f in factors]
+        read = []
+
+        def one_shot():
+            for k, step in enumerate(steps):
+                read.append(k)
+                yield iter(step)
+
+        assert _product_pieces(2, one_shot()) == _product_pieces(2, steps)
+        assert read == [0, 1, 2, 3]
+
     def test_presentation_does_not_matter(self):
         b = unit_baker()
         refined = then(then(b, b), inverse(b))
@@ -578,7 +607,7 @@ class TestProductEquals:
         )
         word = Word(1, (swap,))
         assert not product_equals(word, identity(1))
-        assert sorted(_product_pieces(word, identity(1))) == [((2,), (3,)), ((3,), (2,))]
+        assert sorted(_word_then_inverse(word, identity(1))) == [((2,), (3,)), ((3,), (2,))]
         # [3/4,1) lands on [1/4,1/2), the range sibling of the fixed [0,1/4)
         # and on the same side, but the two domains are not siblings.
         g = Element.from_pairs(
@@ -590,12 +619,12 @@ class TestProductEquals:
             ]
         )
         assert product_equals(Word(1, (g,)), g)
-        pieces = _product_pieces(Word(1, (g,)), identity(1))
+        pieces = _word_then_inverse(Word(1, (g,)), identity(1))
         assert sorted(pieces) == sorted((p.domain.ints, p.range.ints) for p in g.pairs)
         # A baker and its inverse leave two halves mapped to themselves,
         # which merge back into the cube.
         b = unit_baker()
-        assert _product_pieces(Word(2, (b, inverse(b))), identity(2)) == [((1, 1), (1, 1))]
+        assert _word_then_inverse(Word(2, (b, inverse(b))), identity(2)) == [((1, 1), (1, 1))]
 
     @pytest.mark.parametrize("pieces", [[(2, 1)], [(1, 1), (2, 1)]], ids=["lost", "duplicated"])
     def test_a_lost_or_duplicated_piece_is_not_an_equal_product(self, monkeypatch, pieces):
@@ -607,10 +636,16 @@ class TestProductEquals:
 
     def test_verifier_work_is_pinned(self, monkeypatch):
         # Exact work counts of the one-pass check of the eps = 1/8 word:
-        # the pieces filed in the index and the most live at once.
+        # the pieces filed in the index, the cube it starts from included,
+        # and the most live at once.
         added, peak = [0], [0]
 
         class Counted(elements._RangeIndex):
+            def __init__(self, bricks):
+                super().__init__(bricks)
+                added[0] += len(bricks)
+                peak[0] = max(peak[0], len(self.bricks))
+
             def add(self, b):
                 i = super().add(b)
                 added[0] += 1
