@@ -4,10 +4,9 @@ Exit codes: 0 for success (and for "yes" answers), 1 for a check that ran
 and answered "no" (equal, verify, or a factorization whose self-check
 failed), 2 for usage or data errors.
 
-Output files are written atomically (temp file plus rename) and only after
-all computation finished, and a command renames none of its outputs until
-all are written, so a failing invocation never leaves partial results
-behind.
+Output files are written atomically (temp file plus rename), and a command
+renames none of its outputs until all of them are made and written, so a
+failing invocation never leaves partial results behind.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .errors import NvError
 from .elements import (
@@ -42,9 +42,9 @@ from .geometry import Partition, unit_brick
 from .oracle import RandomElementSpec, random_element
 from .svg import render_svg
 
-# `random` bounds, checked before any work: file names run to element-9999.nv
-# and all texts are held in memory; size grows fast with depth, and the
-# range partition of `random_element` costs its square.
+# `random` bounds, checked before any work: file names run to element-9999.nv;
+# size grows fast with depth, and the range partition of `random_element`
+# costs its square.
 _MAX_RANDOM_COUNT = 10_000
 _MAX_RANDOM_DEPTH = 12
 
@@ -57,21 +57,26 @@ def _read(path: str) -> str:
         raise NvError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
-def _write_atomic(*outputs: tuple[str, str]) -> None:
-    """Write each (path, text) through a temp file beside it, then rename.
+def _write_atomic(paths: Sequence[str], texts: Iterable[str]) -> None:
+    """Write each text through a temp file beside its path, then rename.
 
-    Every temp file is written before any is renamed, so a failure while
-    writing leaves none of the outputs behind; a rename that fails leaves
-    only the outputs renamed before it. Files get the mode ``open`` would
-    give them under the current umask, not mkstemp's 0o600. An output that
-    is a directory, or two outputs that are one file, are refused before
-    anything is written. A failure to create, write or rename is an
-    `NvError` naming the output's path, never the temp file's.
+    The paths are checked before any text is taken: an existing output that
+    is not a regular file (a directory, a FIFO, a device), or two outputs
+    that are one file, are refused. The texts are taken one at a time, each
+    written to its temp file before the next is made, so they need not all
+    be held at once. Every temp file is written before any is renamed, so a
+    failure while making or writing a text leaves none of the outputs
+    behind; a rename that fails leaves only the outputs renamed before it.
+    Files get the mode ``open`` would give them under the current umask, not
+    mkstemp's 0o600. A failure to create, write or rename is an `NvError`
+    naming the output's path, never the temp file's.
     """
     named: dict[str, str] = {}
-    for path, _text in outputs:
+    for path in paths:
         if os.path.isdir(path):
             raise NvError(f"cannot write {path}: it is a directory")
+        if os.path.exists(path) and not os.path.isfile(path):
+            raise NvError(f"cannot write {path}: it is not a regular file")
         real = os.path.realpath(path)
         if real in named:
             raise NvError(f"outputs {named[real]} and {path} are the same file")
@@ -80,7 +85,7 @@ def _write_atomic(*outputs: tuple[str, str]) -> None:
     os.umask(umask)
     temps: list[str] = []
     try:
-        for path, text in outputs:
+        for path, text in zip(paths, texts):
             fd, tmp = tempfile.mkstemp(
                 dir=os.path.dirname(os.path.abspath(path)), prefix=".nvbaker-"
             )
@@ -88,7 +93,7 @@ def _write_atomic(*outputs: tuple[str, str]) -> None:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 os.fchmod(fd, 0o666 & ~umask)
                 handle.write(text)
-        for tmp, (path, _text) in zip(temps, outputs):
+        for tmp, path in zip(temps, paths):
             os.replace(tmp, path)
     except BaseException as exc:
         for tmp in temps:
@@ -133,13 +138,13 @@ def _baker_spec(args: argparse.Namespace) -> BakerSpec:
 def _cmd_compose(args: argparse.Namespace) -> int:
     f = _load_element_file(args.first)
     g = _load_element_file(args.second)
-    _write_atomic((args.output, serialize_element(then(f, g))))
+    _write_atomic([args.output], [serialize_element(then(f, g))])
     return 0
 
 
 def _cmd_inverse(args: argparse.Namespace) -> int:
     f = _load_element_file(args.element)
-    _write_atomic((args.output, serialize_element(inverse(f))))
+    _write_atomic([args.output], [serialize_element(inverse(f))])
     return 0
 
 
@@ -161,7 +166,7 @@ def _cmd_equal(args: argparse.Namespace) -> int:
 
 def _cmd_baker(args: argparse.Namespace) -> int:
     spec = _baker_spec(args)
-    _write_atomic((args.output, serialize_element(make_baker(spec))))
+    _write_atomic([args.output], [serialize_element(make_baker(spec))])
     return 0
 
 
@@ -175,7 +180,7 @@ def _cmd_transpose(args: argparse.Namespace) -> int:
                 f"{len(bricks)} bricks"
             )
     spec = TranspositionSpec(Partition(tuple(bricks)), bricks[p], bricks[q])
-    _write_atomic((args.output, serialize_element(make_transposition(spec))))
+    _write_atomic([args.output], [serialize_element(make_transposition(spec))])
     return 0
 
 
@@ -203,10 +208,11 @@ def _cmd_factor_baker(args: argparse.Namespace) -> int:
     spec = _baker_spec(args)
     epsilon = None if args.epsilon is None else parse_dyadic(args.epsilon)
     report = factor_baker(spec, epsilon)
-    outputs = [(args.output, serialize_word(report.word))]
+    paths, texts = [args.output], [serialize_word(report.word)]
     if args.report is not None:
-        outputs.append((args.report, _report_json(report)))
-    _write_atomic(*outputs)
+        paths.append(args.report)
+        texts.append(_report_json(report))
+    _write_atomic(paths, texts)
     if not report.verified:
         print("factorization self-check failed", file=sys.stderr)
         return 1
@@ -225,7 +231,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     f = _load_element_file(args.element)
-    _write_atomic((args.output, render_svg(f)))
+    _write_atomic([args.output], [render_svg(f)])
     return 0
 
 
@@ -240,13 +246,14 @@ def _cmd_random(args: argparse.Namespace) -> int:
         ]
     except ValueError as exc:
         raise NvError(str(exc)) from exc
-    texts = [serialize_element(random_element(spec)) for spec in specs]
+    # Each element is made and serialized just before its file is written.
+    texts = (serialize_element(random_element(spec)) for spec in specs)
     if args.count == 1 and not os.path.isdir(args.output):
-        _write_atomic((args.output, texts[0]))
+        _write_atomic([args.output], texts)
         return 0
     os.makedirs(args.output, exist_ok=True)
-    names = [os.path.join(args.output, f"element-{k:04d}.nv") for k in range(len(texts))]
-    _write_atomic(*zip(names, texts))
+    names = [os.path.join(args.output, f"element-{k:04d}.nv") for k in range(args.count)]
+    _write_atomic(names, texts)
     return 0
 
 

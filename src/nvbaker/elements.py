@@ -33,15 +33,15 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, ElementError, ExponentLimitError
+from .errors import DimensionMismatchError, ElementError
 from .geometry import (
-    MAX_EXPONENT,
     Brick,
     Partition,
     brick_intersect,  # noqa: F401 (a binding perfbench/test_tracer.py checks)
     _RangeIndex,
     _Record,
     _cell_count,
+    _check_exponent,
     _halves,
     _meets,
     _sort_key,
@@ -89,9 +89,7 @@ def _carry(sub: tuple[int, ...], src: tuple[int, ...], dst: tuple[int, ...]) -> 
     image = tuple(
         x ^ ((y ^ z) << (x.bit_length() - y.bit_length())) for x, y, z in zip(sub, src, dst)
     )
-    finest = max(image).bit_length() - 1
-    if finest > MAX_EXPONENT:
-        raise ExponentLimitError(f"cell exponent {finest} exceeds the limit {MAX_EXPONENT}")
+    _check_exponent(max(image).bit_length() - 1)
     return image
 
 

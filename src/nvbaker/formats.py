@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ElementError, NvError, ParseError
+from .errors import ElementError, GeometryError, NvError, ParseError
 from .geometry import (
     MAX_DIMENSION,
     MAX_EXPONENT,
@@ -117,7 +117,10 @@ def _parse_brick(
         for part in text.split(","):
             cells.append(_parse_cell(part, line, column))
             column += len(part) + 1
-        brick = seen[key] = Brick(tuple(cells))
+        try:
+            brick = seen[key] = Brick(tuple(cells))
+        except GeometryError as exc:  # too many axes
+            raise ParseError(f"semantic error: {exc}", line, base_column) from exc
     if dimension is not None and brick.dimension != dimension:
         raise ParseError(
             f"semantic error: brick has {brick.dimension} axes, header says {dimension}",
@@ -249,15 +252,18 @@ def _tokenize_tree(text: str) -> list[tuple[str, int, int]]:
 
 
 def _parse_tree(tokens: list[tuple[str, int, int]], pos: int):
-    """One tree starting at tokens[pos], and the position after it.
+    """One tree starting at tokens[pos] as its leaves, and the position after it.
 
-    A tree is a leaf label (an int) or a split (axis, lower, upper). Open
-    splits wait on an explicit stack, so nesting depth is not bounded by the
-    interpreter's recursion limit. An axis past `MAX_DIMENSION`, or splits
-    of one axis nested past `MAX_EXPONENT`, fail at the split's S token.
+    Each leaf is (label, region) in depth-first lower-half-first order, its
+    region mapping every axis the tree splits above it to the leaf's cell
+    int there. Open splits wait on an explicit stack, each with its upper
+    half's region, so nesting depth is not bounded by the interpreter's
+    recursion limit. An axis past `MAX_DIMENSION`, or a split whose halves
+    would pass `MAX_EXPONENT`, fails at the split's S token.
     """
-    stack: list[tuple[int, int, int, list]] = []  # axis, '(' line and column, children
-    depth: dict[int, int] = {}  # open splits by axis
+    leaves: list[tuple[int, dict[int, int]]] = []
+    stack: list[list] = []  # '(' line and column, and the upper half's region or None
+    region: dict[int, int] = {}
     while True:
         if pos >= len(tokens):
             raise ParseError("syntax error: unexpected end of tree")
@@ -280,50 +286,35 @@ def _parse_tree(tokens: list[tuple[str, int, int]], pos: int):
                     sline,
                     scol,
                 )
-            depth[axis] = depth.get(axis, 0) + 1
-            if depth[axis] > MAX_EXPONENT:
+            cell = region.get(axis, 1)
+            if cell.bit_length() > MAX_EXPONENT:  # its halves' exponent, one past its own
                 raise ParseError(
                     f"semantic error: splits of axis {axis} nest past the exponent "
                     f"limit {MAX_EXPONENT}",
                     sline,
                     scol,
                 )
-            stack.append((axis, line, col, []))
+            stack.append([line, col, {**region, axis: cell << 1 | 1}])
+            region = {**region, axis: cell << 1}
             pos += 2
             continue
         if not (tok.startswith("L") and tok[1:].isdigit()):
             raise ParseError(
                 f"syntax error: expected a leaf 'L<n>' or '(', got {tok!r}", line, col
             )
-        node, pos = _int(tok[1:], line, col), pos + 1
-        # Hand the finished node to its parent, closing every split it completes.
-        while stack:
-            stack[-1][3].append(node)
-            if len(stack[-1][3]) < 2:
-                break
-            axis, line, col, (lower, upper) = stack.pop()
-            depth[axis] -= 1
+        leaves.append((_int(tok[1:], line, col), region))
+        pos += 1
+        # Close every split whose upper half the leaf ends, then begin the next upper half.
+        while stack and stack[-1][2] is None:
+            line, col, _ = stack.pop()
             if pos >= len(tokens) or tokens[pos][0] != ")":
                 where = tokens[pos][1:] if pos < len(tokens) else (line, col)
                 raise ParseError("syntax error: expected ')' closing a split", *where)
-            node, pos = (axis, lower, upper), pos + 1
-        else:
-            return node, pos
-
-
-def _tree_leaves(tree, brick: Brick) -> list[tuple[int, Brick]]:
-    """(label, brick) of every leaf in depth-first lower-half-first order."""
-    out = []
-    todo = [(tree, brick)]
-    while todo:
-        node, brick = todo.pop()
-        if isinstance(node, int):
-            out.append((node, brick))
-        else:
-            axis, lower, upper = node
-            lo, hi = brick.split(axis)
-            todo += ((upper, hi), (lower, lo))
-    return out
+            pos += 1
+        if not stack:
+            return leaves, pos
+        region = stack[-1][2]
+        stack[-1][2] = None  # the upper half is begun
 
 
 def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
@@ -338,18 +329,17 @@ def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
         raise ParseError("syntax error: expected exactly one '=>' between two trees")
     dom_tokens, ran_tokens = tokens[: split_at[0]], tokens[split_at[0] + 1 :]
 
-    dom_tree, used = _parse_tree(dom_tokens, 0)
+    dom_leaves, used = _parse_tree(dom_tokens, 0)
     if used != len(dom_tokens):
         tok, line, col = dom_tokens[used]
         raise ParseError(f"syntax error: trailing {tok!r} after the domain tree", line, col)
-    ran_tree, used = _parse_tree(ran_tokens, 0)
+    ran_leaves, used = _parse_tree(ran_tokens, 0)
     if used != len(ran_tokens):
         tok, line, col = ran_tokens[used]
         raise ParseError(f"syntax error: trailing {tok!r} after the range tree", line, col)
 
-    # Both trees used every token, so the S tokens are exactly the splits.
-    axes = [_int(tok[1:], line, col) for tok, line, col in tokens if tok[0] == "S"]
-    inferred = max(axes, default=-1) + 1
+    # Every split has a leaf below it, so the leaves' regions name every split axis.
+    inferred = max((axis + 1 for _, r in dom_leaves + ran_leaves for axis in r), default=0)
     if dimension is None:
         if inferred == 0:
             raise ParseError(
@@ -361,9 +351,10 @@ def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
             f"semantic error: trees use axis {inferred - 1}, beyond dimension {dimension}"
         )
 
-    cube = unit_brick(dimension)
-    dom_leaves = _tree_leaves(dom_tree, cube)
-    ran_leaves = _tree_leaves(ran_tree, cube)
+    cube = unit_brick(dimension).ints
+
+    def brick(region: dict[int, int]) -> Brick:
+        return Brick._of(tuple(region.get(axis, c) for axis, c in enumerate(cube)))
 
     labels = [label for label, _ in dom_leaves]
     if labels != list(range(len(labels))):
@@ -374,9 +365,11 @@ def parse_tree_pair(text: str, dimension: int | None = None) -> Element:
         raise ParseError(
             "semantic error: range leaf labels must be a permutation of the domain labels"
         )
-    by_label = {label: brick for label, brick in ran_leaves}
+    by_label = dict(ran_leaves)
     # Both trees split one unit brick: their leaves partition the cube, unchecked.
-    return Element(dimension, tuple(Pair._of(b, by_label[label]) for label, b in dom_leaves))
+    return Element(
+        dimension, tuple(Pair._of(brick(r), brick(by_label[label])) for label, r in dom_leaves)
+    )
 
 
 def load_element(text: str) -> Element:

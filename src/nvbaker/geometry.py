@@ -33,12 +33,24 @@ from .errors import (
     PartitionError,
 )
 
-# Hard ceilings on cell exponents and on axes. Cells deepen only through `Cell`,
+# Hard ceilings on cell exponents and on axes, each checked in one place so
+# that no input sets off runaway work. Cells deepen only through `Cell`,
 # `_halves` (the cut of `Brick.split` and of the one-pass verifier) and
-# `elements._carry`, and a bare dimension becomes cells only in `unit_brick`,
-# so one check in each guards the library against runaway work.
+# `elements._carry`, which all call `_check_exponent`; bricks get their axes
+# only from `Brick(cells)` and `unit_brick`, which call `_check_dimension`.
+# Bricks derived from such bricks (`Brick._of`) are trusted.
 MAX_EXPONENT = 64
 MAX_DIMENSION = 64
+
+
+def _check_exponent(exponent: int) -> None:
+    if exponent > MAX_EXPONENT:
+        raise ExponentLimitError(f"cell exponent {exponent} exceeds the limit {MAX_EXPONENT}")
+
+
+def _check_dimension(dimension: int) -> None:
+    if not 1 <= dimension <= MAX_DIMENSION:
+        raise GeometryError(f"dimension must be in 1..{MAX_DIMENSION}, got {dimension}")
 
 
 class _Record:
@@ -105,10 +117,7 @@ class Cell(_Record):
         object.__setattr__(self, "numerator", numerator)
         if self.exponent < 0:
             raise GeometryError(f"cell exponent must be >= 0, got {self.exponent}")
-        if self.exponent > MAX_EXPONENT:
-            raise ExponentLimitError(
-                f"cell exponent {self.exponent} exceeds the limit {MAX_EXPONENT}"
-            )
+        _check_exponent(self.exponent)
         if not 0 <= self.numerator < (1 << self.exponent):
             raise GeometryError(
                 f"cell numerator {self.numerator} out of range for exponent {self.exponent}"
@@ -144,7 +153,8 @@ class Cell(_Record):
 class Brick(_Record):
     """Product of one dyadic cell per axis: a half-open box in [0,1)^n.
 
-    `Brick(cells)` takes checked `Cell`s and stores one cell int per axis.
+    `Brick(cells)` takes 1..MAX_DIMENSION checked `Cell`s, one per axis, and
+    stores one cell int per axis.
     The sort key is computed at most once, on first use, and kept in `_key`;
     equality and hashing read `ints` alone, in methods of their own, as
     bricks are compared and hashed far more often than any other record.
@@ -153,8 +163,7 @@ class Brick(_Record):
     __slots__ = ("ints", "_key")
 
     def __init__(self, cells: Sequence[Cell]) -> None:
-        if not cells:
-            raise GeometryError("a brick needs at least one axis")
+        _check_dimension(len(cells))
         self._set(tuple((1 << c.exponent) | c.numerator for c in cells), None)
 
     @classmethod
@@ -249,10 +258,7 @@ def _sort_key(ints: tuple[int, ...]) -> tuple[int, ...]:
 def _halves(ints: tuple[int, ...], axis: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """`Brick.split` of cell ints along a valid axis: the lower and upper halves."""
     c = ints[axis] << 1
-    if c.bit_length() - 1 > MAX_EXPONENT:
-        raise ExponentLimitError(
-            f"cell exponent {c.bit_length() - 1} exceeds the limit {MAX_EXPONENT}"
-        )
+    _check_exponent(c.bit_length() - 1)
     return _with(ints, axis, c), _with(ints, axis, c | 1)
 
 
@@ -511,8 +517,7 @@ def _cell_count(bricks: Sequence[tuple[int, ...]]) -> tuple[int, int]:
 
 
 def unit_brick(dimension: int) -> Brick:
-    if not 1 <= dimension <= MAX_DIMENSION:
-        raise GeometryError(f"dimension must be in 1..{MAX_DIMENSION}, got {dimension}")
+    _check_dimension(dimension)
     return Brick._of((1,) * dimension)
 
 

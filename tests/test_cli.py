@@ -12,6 +12,7 @@ import pytest
 
 from nvbaker import (
     BakerSpec,
+    NvError,
     Partition,
     TranspositionSpec,
     Word,
@@ -467,6 +468,15 @@ class TestOutputErrors:
         assert os.listdir(outdir) == []
         assert sorted(os.listdir(tmp_path)) == ["baker.nv", "out"]
 
+    def test_fifo_is_refused_and_left_intact(self, run, tmp_path):
+        fifo = tmp_path / "fifo1"
+        os.mkfifo(fifo)
+        code, stdout, err = run("baker", "--dim", "2", "--axes", "0,1", "-o", str(fifo))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot write {fifo}: it is not a regular file\n"
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["fifo1"]
+
 
 class TestRandomCommand:
     def test_single_file(self, run, tmp_path):
@@ -506,6 +516,31 @@ class TestRandomCommand:
         assert code == 0
         assert os.listdir(outdir) == ["element-0000.nv"]
 
+    def test_each_element_is_written_as_it_is_made(self, run, tmp_path, monkeypatch):
+        outdir = tmp_path / "corpus"
+        made, seen = [], []
+
+        def serialize(e):
+            made.append(e)
+            if len(made) == 3:
+                seen.extend(os.listdir(outdir))
+                raise NvError("the third element is refused")
+            return serialize_element(e)
+
+        monkeypatch.setattr("nvbaker.cli.serialize_element", serialize)
+        code, stdout, err = run(
+            "random", "--dim", "2", "--depth", "4", "--seed", "3",
+            "--count", "5", "-o", str(outdir),
+        )
+        assert (code, stdout, err) == (2, "", "error: the third element is refused\n")
+        # The first two texts were in their temp files before the third was made,
+        # and the failure removed them: no element file and no temp file is left.
+        assert len(made) == 3
+        assert len(seen) == 2 and all(name.startswith(".nvbaker-") for name in seen)
+        assert os.listdir(outdir) == []
+
+
+SUPPORT_65 = ",".join(["0/2^0"] * 65)  # one axis past MAX_DIMENSION
 
 FAIL_CLOSED_CASES = {
     "random_dim_zero": ("random", "--dim", "0", "--depth", "3", "--seed", "1"),
@@ -532,6 +567,8 @@ FAIL_CLOSED_CASES = {
     ),
     "baker_dim_too_large": ("baker", "--dim", "65", "--axes", "0,1"),
     "factor_baker_dim_too_large": ("factor-baker", "--dim", "65", "--axes", "0,1"),
+    "baker_support_too_wide": ("baker", "--support", SUPPORT_65, "--axes", "0,1"),
+    "factor_baker_support_too_wide": ("factor-baker", "--support", SUPPORT_65, "--axes", "0,1"),
     "random_dim_too_large": ("random", "--dim", "65", "--depth", "1", "--seed", "1"),
 }
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nvbaker import (
     BakerSpec,
     Brick,
+    Cell,
     Element,
     NvError,
     Pair,
@@ -108,6 +109,16 @@ class TestParseBrick:
     def test_bad_cell_syntax(self):
         with pytest.raises(ParseError, match="syntax error"):
             parse_brick("0/2^1,zebra")
+
+    def test_axes_past_the_dimension_limit(self):
+        text = ",".join(["0/2^0"] * 65)
+        with pytest.raises(ParseError, match="dimension must be in 1..64, got 65") as info:
+            parse_brick(text)
+        assert (info.value.line, info.value.column) == (1, 1)
+        # In a file, the brick fails on its own line.
+        with pytest.raises(ParseError) as info:
+            parse_element(f"NV 2\n0/2^0,0/2^0 -> 0/2^0,0/2^0\n{text} -> 0/2^0,0/2^0\n")
+        assert info.value.line == 3
 
 
 class TestParseElement:
@@ -254,6 +265,39 @@ def test_tree_pairs_partition_the_cube(dimension, leaves, data):
     text = serialize_element(e)
     assert parse_element(text) == e
     assert serialize_element(parse_element(text)) == text
+
+
+def _leaf_cells(tree: str, dimension: int) -> list[tuple[int, tuple[Cell, ...]]]:
+    """(label, cells) of each leaf of a `split_trees` text, found by halving `Cell`s."""
+    tokens = tree.replace("(", " ( ").replace(")", " ) ").split()
+    leaves = []
+
+    def walk(pos: int, cells: tuple[Cell, ...]) -> int:
+        if tokens[pos] != "(":
+            leaves.append((int(tokens[pos][1:]), cells))
+            return pos + 1
+        axis = int(tokens[pos + 1][1:])
+        c, pos = cells[axis], pos + 2
+        for bit in (0, 1):
+            half = Cell(c.exponent + 1, 2 * c.numerator + bit)
+            pos = walk(pos, cells[:axis] + (half,) + cells[axis + 1 :])
+        return pos + 1  # past the ')'
+
+    walk(0, (Cell(0, 0),) * dimension)
+    return leaves
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.integers(1, 24), st.data())
+def test_tree_pair_labels_map_to_the_bricks_their_trees_name(dimension, leaves, data):
+    labels = data.draw(st.permutations(range(leaves)))
+    domain = data.draw(split_trees(leaves, dimension)).format(*range(leaves))
+    range_ = data.draw(split_trees(leaves, dimension)).format(*labels)
+    e = parse_tree_pair(f"{domain} => {range_}", dimension)
+    image = dict(_leaf_cells(range_, dimension))
+    expected = {(cells, image[label]) for label, cells in _leaf_cells(domain, dimension)}
+    assert {(p.domain.cells, p.range.cells) for p in e.pairs} == expected
+    assert len(e) == leaves
 
 
 seeds = st.integers(0, 2**64 - 1)

@@ -155,6 +155,12 @@ class TestBrick:
         assert b.double(0) == brick("0/2^0,0/2^0")
         assert b.sibling(0) == brick("0/2^1,0/2^0")
 
+    def test_axes_are_bounded(self):
+        assert Brick((Cell(0, 0),) * MAX_DIMENSION).dimension == MAX_DIMENSION
+        for axes in (0, MAX_DIMENSION + 1):
+            with pytest.raises(GeometryError, match="dimension must be in"):
+                Brick((Cell(0, 0),) * axes)
+
     def test_axis_out_of_range(self):
         b = unit_brick(2)
         for bad in (-1, 2):
